@@ -21,9 +21,8 @@ import numpy as np
 
 from .field import (OpCounter, Permutation, PrimeField, is_left_triangular,
                     left_part, mat_mul, next_pow2, pad_top_left, reverse_cols,
-                    reverse_rows, strict_lower, strict_upper, trsm_unit_lower,
-                    trsm_upper_right)
-from .orders import qs_order
+                    reverse_rows, strict_lower, strict_upper)
+from .orders import _left_elimination, qs_order
 from .pluq import PluqDecomposition, pluq_rpm
 
 
@@ -192,95 +191,21 @@ class BruhatGenerator:
                     raise ValueError("segment value out of range")
 
 
-def _lt_bruhat_rec(A: np.ndarray, field: PrimeField, counter: OpCounter | None):
-    """Returns (pivots, dense L, dense U) in the padded coordinates."""
-    n = A.shape[0]
-    if n == 1:
-        z = np.zeros((1, 1), dtype=np.int64)
-        return [], z, z.copy()
-    h = n // 2
-    p = field.p
-    d = pluq_rpm(A[:h, :h], field, counter)
-    r1 = d.r
-    rp = d.P.img
-    cp = d.Q.inverse().img
-    pivots = list(zip(rp[:r1].tolist(), cp[:r1].tolist()))
-
-    B = A[:h, h:][rp]
-    C = A[h:, :h][:, cp]
-    L1 = d.L[:r1, :r1]
-    M1 = d.L[r1:, :r1]
-    U1 = d.U[:r1, :r1]
-    V1 = d.U[:r1, r1:]
-    D = trsm_unit_lower(L1, B[:r1], field, counter)
-    E = trsm_upper_right(C[:, :r1], U1, field, counter)
-    F = (B[r1:] - mat_mul(M1, D, field, counter)) % p
-    G = (C[:, r1:] - mat_mul(E, V1, field, counter)) % p
-    if counter is not None:
-        counter.adds += F.size + G.size
-
-    H = np.zeros((h, h), dtype=np.int64)
-    H[r1:] = F
-    H = d.P.apply_rows(H)
-    I = np.zeros((h, h), dtype=np.int64)
-    I[:, r1:] = G
-    I = d.Q.apply_cols(I)
-
-    piv2, L2, U2 = _lt_bruhat_rec(H, field, counter)
-    piv3, L3, U3 = _lt_bruhat_rec(I, field, counter)
-
-    pivots += [(i, j + h) for i, j in piv2]
-    pivots += [(i + h, j) for i, j in piv3]
-
-    # L factor: top-left gets P1 [L1; M1 | 0] Q1 whole (the global left
-    # region covers it), bottom-left gets Left([E | 0] Q1) plus the
-    # recursive part; supports are disjoint.
-    KL = np.zeros((h, h), dtype=np.int64)
-    KL[:, :r1] = d.L
-    KL = d.Q.apply_cols(d.P.apply_rows(KL))
-    EL = np.zeros((h, h), dtype=np.int64)
-    EL[:, :r1] = E
-    EL = d.Q.apply_cols(EL)
-    Lfull = np.zeros((n, n), dtype=np.int64)
-    Lfull[:h, :h] = KL
-    Lfull[:h, h:] = L2
-    Lfull[h:, :h] = left_part(EL) + L3
-
-    # U factor: top-left gets P1 [U1 V1; 0] Q1, top-right Left(P1 [D; 0])
-    # plus the recursive part, bottom-left the recursive part.
-    KU = np.zeros((h, h), dtype=np.int64)
-    KU[:r1] = d.U
-    KU = d.Q.apply_cols(d.P.apply_rows(KU))
-    DU = np.zeros((h, h), dtype=np.int64)
-    DU[:r1] = D
-    DU = d.P.apply_rows(DU)
-    Ufull = np.zeros((n, n), dtype=np.int64)
-    Ufull[:h, :h] = KU
-    Ufull[:h, h:] = left_part(DU) + U2
-    Ufull[h:, :h] = U3
-
-    return pivots, Lfull, Ufull
-
-
 def lt_bruhat(A: np.ndarray, field: PrimeField,
               counter: OpCounter | None = None) -> BruhatGenerator:
     """Bruhat generator of the left triangular part of A.
 
-    Pads to a power of two, runs the recursion, then keeps the pivots in
-    the original left region and crops their segments; discarded pivots
-    cannot contribute to any entry of the original region.
+    Shares the elimination of `orders.lt_rpm`, which embeds A right-aligned
+    in a power-of-two size; its left region is A's own, so every pivot it
+    finds and both segments are kept as they come.
     """
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("lt_bruhat expects a square matrix")
-    W = pad_top_left(np.asarray(A, dtype=np.int64) % field.p, next_pow2(max(n, 1)))
-    pivots, Lfull, Ufull = _lt_bruhat_rec(W, field, counter)
-    Lfull = Lfull[:n, :n]
-    Ufull = Ufull[:n, :n]
-    keep = sorted((i, j) for i, j in pivots if i + j <= n - 2)
-    lower = [Lfull[i:n - j - 1, j].copy() for i, j in keep]
-    upper = [Ufull[i, j:n - i - 1].copy() for i, j in keep]
-    g = BruhatGenerator(n, field, keep, lower, upper)
+    found = _left_elimination(A, field, counter)
+    g = BruhatGenerator(n, field, [(i, j) for i, j, _, _ in found],
+                        [lower for _, _, lower, _ in found],
+                        [upper for _, _, _, upper in found])
     g.validate()
     return g
 

@@ -3,7 +3,18 @@
 `lt_rpm` is the divide-and-conquer elimination returning the left
 triangular part of the rank profile matrix; `qs_order` turns its pivot
 list into the order with a single linear sweep.  Both have brute-force
-rank oracles next to them for testing.
+rank oracles next to them for testing.  `generators.lt_bruhat` runs the
+same elimination and keeps each pivot's segments of the L and U factors.
+
+The elimination needs a power-of-two size N >= n.  A is embedded
+right-aligned in the first n rows, W[:n, N-n:] = A, zeros elsewhere.  The
+left part of a rank profile matrix reads only the entries with
+i + j <= n - 2 (0-based), N - n leading zero columns shift the profile by
+N - n columns and trailing zero rows add no pivot, so the left region
+i + j <= N - 2 of W is exactly that of A, moved N - n columns right.
+Every pivot found is one of A's and its segments already have A's
+lengths: nothing is filtered or cropped, and only the column offset
+is taken back.
 """
 
 from __future__ import annotations
@@ -12,9 +23,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .field import (OpCounter, PrimeField, mat_mul, next_pow2, pad_top_left,
-                    rank, reverse_cols, reverse_rows, strict_lower,
-                    strict_upper, trsm_unit_lower, trsm_upper_right)
+from .field import (OpCounter, PrimeField, mat_mul, next_pow2, rank,
+                    reverse_cols, reverse_rows, strict_lower, strict_upper,
+                    trsm_unit_lower, trsm_upper_right)
 from .pluq import RankProfileMatrix, pluq_rpm
 
 
@@ -44,65 +55,85 @@ def qs_order(pivots: Iterable[tuple], n: int) -> int:
     return best
 
 
-def _lt_rec(A: np.ndarray, field: PrimeField, counter: OpCounter | None) -> list:
-    """Pivots (0-based) of the left triangular part of the RPM of A.
+def _left_elimination(A: np.ndarray, field: PrimeField,
+                      counter: OpCounter | None) -> list:
+    """(i, j, lower, upper) for each pivot of the left triangular part of
+    the RPM of a square A, sorted by row.
 
-    A is square with power-of-two size; the top-left quadrant is eliminated
-    by a profile-revealing PLUQ while the top-right and bottom-left quadrants
-    recurse on Schur-complement updates that preserve the profile.
+    For the pivot at (i, j) the lower segment is column j of the L factor
+    on rows i .. n-j-2 and the upper segment row i of the U factor on
+    columns j .. n-i-2.  Each node eliminates its top-left quadrant by a
+    profile-revealing PLUQ while the top-right and bottom-left quadrants
+    recurse on Schur-complement updates that preserve the profile.  A
+    node's left region is the part of the global one it covers, so a
+    pivot's segments are complete where it is found: down column j, P L
+    then the bottom-left factor E; along row i, U Q then the top-right
+    factor D, each cut at the anti-diagonal.
     """
-    n = A.shape[0]
-    if n == 1:
-        return []
-    h = n // 2
     p = field.p
-    d = pluq_rpm(A[:h, :h], field, counter)
-    r1 = d.r
-    rp = d.P.img
-    cp = d.Q.inverse().img
-    pivots = list(zip(rp[:r1].tolist(), cp[:r1].tolist()))
+    found = []
 
-    B = A[:h, h:][rp]            # P1^T A2
-    C = A[h:, :h][:, cp]         # A3 Q1^T
-    L1 = d.L[:r1, :r1]
-    M1 = d.L[r1:, :r1]
-    U1 = d.U[:r1, :r1]
-    V1 = d.U[:r1, r1:]
-    D = trsm_unit_lower(L1, B[:r1], field, counter)
-    E = trsm_upper_right(C[:, :r1], U1, field, counter)
-    F = (B[r1:] - mat_mul(M1, D, field, counter)) % p
-    G = (C[:, r1:] - mat_mul(E, V1, field, counter)) % p
-    if counter is not None:
-        counter.adds += F.size + G.size
+    def rec(A: np.ndarray, row0: int, col0: int) -> None:
+        n = A.shape[0]
+        if n == 1:
+            return
+        h = n // 2
+        d = pluq_rpm(A[:h, :h], field, counter)
+        r1 = d.r
+        rp = d.P.img
+        cp = d.Q.inverse().img
 
-    H = np.zeros((h, h), dtype=np.int64)
-    H[r1:] = F
-    H = d.P.apply_rows(H)
-    I = np.zeros((h, h), dtype=np.int64)
-    I[:, r1:] = G
-    I = d.Q.apply_cols(I)
+        B = A[:h, h:][rp]            # P1^T A2
+        C = A[h:, :h][:, cp]         # A3 Q1^T
+        L1 = d.L[:r1, :r1]
+        M1 = d.L[r1:, :r1]
+        U1 = d.U[:r1, :r1]
+        V1 = d.U[:r1, r1:]
+        D = trsm_unit_lower(L1, B[:r1], field, counter)
+        E = trsm_upper_right(C[:, :r1], U1, field, counter)
+        F = (B[r1:] - mat_mul(M1, D, field, counter)) % p
+        G = (C[:, r1:] - mat_mul(E, V1, field, counter)) % p
+        if counter is not None:
+            counter.adds += F.size + G.size
 
-    pivots += [(i, j + h) for i, j in _lt_rec(H, field, counter)]
-    pivots += [(i + h, j) for i, j in _lt_rec(I, field, counter)]
-    return pivots
+        if r1:                       # most nodes find no pivot
+            PL = d.P.apply_rows(d.L)
+            UQ = d.Q.apply_cols(d.U)
+        for k, (i, j) in enumerate(zip(rp[:r1].tolist(), cp[:r1].tolist())):
+            found.append((row0 + i, col0 + j,
+                          np.concatenate([PL[i:, k], E[:h - 1 - j, k]]),
+                          np.concatenate([UQ[k, j:], D[k, :h - 1 - i]])))
+
+        H = np.zeros((h, h), dtype=np.int64)    # P1 [0; F], by a row scatter
+        H[rp[r1:]] = F
+        I = np.zeros((h, h), dtype=np.int64)    # [0 | G] Q1, by a column gather:
+        I[:, r1:] = G                           # numpy scatters columns slower
+        I = d.Q.apply_cols(I)
+        rec(H, row0, col0 + h)
+        rec(I, row0 + h, col0)
+
+    n = A.shape[0]
+    N = next_pow2(max(n, 1))
+    W = np.zeros((N, N), dtype=np.int64)
+    W[:n, N - n:] = np.asarray(A, dtype=np.int64) % p
+    rec(W, 0, n - N)
+    found.sort(key=lambda piv: piv[0])
+    return found
 
 
 def lt_rpm(A: np.ndarray, field: PrimeField,
            counter: OpCounter | None = None) -> RankProfileMatrix:
     """Left triangular part of the rank profile matrix of a square A.
 
-    The input is zero-padded to the next power of two before recursing;
-    padding leaves the rank profile untouched, so restricting the result
-    to the original left region {i + j <= n, 1-based} is exact.
+    Runs the elimination on A embedded right-aligned in a power-of-two
+    size (see the module docstring): its pivots, column offset taken
+    back, are exactly the pivots of A with i + j <= n - 2 (0-based).
     """
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("lt_rpm expects a square matrix")
-    if n == 0:
-        return RankProfileMatrix(0, 0, [])
-    W = pad_top_left(np.asarray(A, dtype=np.int64) % field.p, next_pow2(n))
-    pivots = [(i, j) for i, j in _lt_rec(W, field, counter) if i + j <= n - 2]
-    return RankProfileMatrix(n, n, pivots)
+    return RankProfileMatrix(n, n, [(i, j) for i, j, _, _ in
+                                    _left_elimination(A, field, counter)])
 
 
 def quasiseparable_orders(M: np.ndarray, field: PrimeField,

@@ -15,7 +15,7 @@ from .field import (OpCounter, PrimeField, mat_mul, mat_vec, reverse_cols,
 from .generators import (BruhatGenerator, CompactBruhatGenerator, QsMatrix,
                          TreeGenerator, TreeLeaf, bruhat_reconstruct,
                          compact_reconstruct, compact_to_bruhat,
-                         qs_from_dense, tree_dense, tree_generator)
+                         qs_from_dense, tree_dense, tree_generator, tree_size)
 from .pluq import PluqDecomposition
 
 
@@ -43,10 +43,10 @@ def matvec_bruhat(g: BruhatGenerator, x: np.ndarray,
     at the truncation point m = n - i - 2 (0-based).
     """
     n = g.n
-    x = np.asarray(x, dtype=np.int64)
+    p = g.field.p
+    x = np.asarray(x, dtype=np.int64) % p
     if x.shape != (n,):
         raise ValueError("vector length mismatch")
-    p = g.field.p
     y = [0] * n
     for k, (i, j) in enumerate(g.pivots):
         useg = g.upper_segs[k]
@@ -92,7 +92,7 @@ def _tree_matvec(node, x: np.ndarray, field: PrimeField,
 
 def matvec_tree(g: TreeGenerator, x: np.ndarray,
                 counter: OpCounter | None = None) -> np.ndarray:
-    x = np.asarray(x, dtype=np.int64)
+    x = np.asarray(x, dtype=np.int64) % g.field.p
     if x.shape != (g.n,):
         raise ValueError("vector length mismatch")
     xp = np.zeros(g.size, dtype=np.int64)
@@ -113,10 +113,10 @@ def _matvec_rep(rep, x: np.ndarray, counter: OpCounter | None) -> np.ndarray:
 def matvec_qs(M: QsMatrix, x: np.ndarray,
               counter: OpCounter | None = None) -> np.ndarray:
     """y = M x via the split J (lower rep) x + diag * x + (upper rep) (J x)."""
-    x = np.asarray(x, dtype=np.int64)
+    p = M.field.p
+    x = np.asarray(x, dtype=np.int64) % p
     if x.shape != (M.n,):
         raise ValueError("vector length mismatch")
-    p = M.field.p
     low = _matvec_rep(M.lower, x, counter)[::-1]
     up = _matvec_rep(M.upper, x[::-1].copy(), counter)
     if counter is not None:
@@ -167,14 +167,22 @@ def _times_tall(node, F: np.ndarray, field: PrimeField,
     return np.vstack([top, bottom])
 
 
+def _padded(F: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """F with zero rows (axis 0) or columns (axis 1) appended up to size."""
+    F = np.asarray(F, dtype=np.int64)
+    if F.shape[axis] == size:
+        return F
+    width = [(0, 0), (0, 0)]
+    width[axis] = (0, size - F.shape[axis])
+    return np.pad(F, width)
+
+
 def mul_flat_by_lt(F: np.ndarray, g: TreeGenerator,
                    counter: OpCounter | None = None) -> np.ndarray:
     """F @ reconstruct(g) for a flat F, recursing column-split by quadrant."""
     if F.shape[1] != g.n:
         raise ValueError("dimension mismatch in mul_flat_by_lt")
-    Fp = np.zeros((F.shape[0], g.size), dtype=np.int64)
-    Fp[:, :g.n] = F
-    return _flat_times(g.root, Fp, g.field, counter)[:, :g.n]
+    return _flat_times(g.root, _padded(F, g.size, 1), g.field, counter)[:, :g.n]
 
 
 def mul_lt_by_flat(g: TreeGenerator, F: np.ndarray,
@@ -182,9 +190,7 @@ def mul_lt_by_flat(g: TreeGenerator, F: np.ndarray,
     """reconstruct(g) @ F for a tall F."""
     if F.shape[0] != g.n:
         raise ValueError("dimension mismatch in mul_lt_by_flat")
-    Fp = np.zeros((g.size, F.shape[1]), dtype=np.int64)
-    Fp[:g.n] = F
-    return _times_tall(g.root, Fp, g.field, counter)[:g.n]
+    return _times_tall(g.root, _padded(F, g.size, 0), g.field, counter)[:g.n]
 
 
 def mul_pluq_by_lt(d: PluqDecomposition, g: TreeGenerator,
@@ -193,12 +199,7 @@ def mul_pluq_by_lt(d: PluqDecomposition, g: TreeGenerator,
     """(P L U Q) @ A, or (P L U Q) @ J @ A when middle_reversed."""
     if d.n != g.n:
         raise ValueError("dimension mismatch in mul_pluq_by_lt")
-    W = d.Q.apply_cols(d.U)
-    if middle_reversed:
-        W = W[:, ::-1].copy()
-    X = mul_flat_by_lt(W, g, counter)
-    X = mat_mul(d.L, X, d.field, counter)
-    return d.P.apply_rows(X)
+    return _pluq_times_node(d, g.root, g.n, g.field, counter, middle_reversed)
 
 
 def mul_lt_by_pluq(g: TreeGenerator, d: PluqDecomposition,
@@ -207,12 +208,7 @@ def mul_lt_by_pluq(g: TreeGenerator, d: PluqDecomposition,
     """A @ (P L U Q), or A @ J @ (P L U Q) when middle_reversed."""
     if g.n != d.m:
         raise ValueError("dimension mismatch in mul_lt_by_pluq")
-    V = d.P.apply_rows(d.L)
-    if middle_reversed:
-        V = V[::-1].copy()
-    X = mul_lt_by_flat(g, V, counter)
-    X = mat_mul(X, d.U, d.field, counter)
-    return d.Q.apply_cols(X)
+    return _node_times_pluq(g.root, d, g.n, g.field, counter, middle_reversed)
 
 
 def _pluq_times_pluq(da: PluqDecomposition, db: PluqDecomposition,
@@ -225,22 +221,26 @@ def _pluq_times_pluq(da: PluqDecomposition, db: PluqDecomposition,
     return db.Q.apply_cols(da.P.apply_rows(X))
 
 
-def _pluq_times_node(d: PluqDecomposition, sub, field: PrimeField,
+def _pluq_times_node(d: PluqDecomposition, node, n: int, field: PrimeField,
                      counter: OpCounter | None, rev: bool) -> np.ndarray:
+    """(P L U Q) @ A for the n x n A held top-left by a tree node, or
+    (P L U Q) @ J_n @ A when rev: U Q is reversed before it is padded."""
     W = d.Q.apply_cols(d.U)
     if rev:
-        W = W[:, ::-1].copy()
-    X = _flat_times(sub, W, field, counter)
+        W = W[:, ::-1]
+    X = _flat_times(node, _padded(W, tree_size(node), 1), field, counter)[:, :n]
     X = mat_mul(d.L, X, field, counter)
     return d.P.apply_rows(X)
 
 
-def _node_times_pluq(sub, d: PluqDecomposition, field: PrimeField,
+def _node_times_pluq(node, d: PluqDecomposition, n: int, field: PrimeField,
                      counter: OpCounter | None, rev: bool) -> np.ndarray:
+    """A @ (P L U Q), or A @ J_n @ (P L U Q) when rev; the mirror of
+    `_pluq_times_node`."""
     V = d.P.apply_rows(d.L)
     if rev:
-        V = V[::-1].copy()
-    X = _times_tall(sub, V, field, counter)
+        V = V[::-1]
+    X = _times_tall(node, _padded(V, tree_size(node), 0), field, counter)[:n]
     X = mat_mul(X, d.U, field, counter)
     return d.Q.apply_cols(X)
 
@@ -262,13 +262,13 @@ def _lt_times_lt(a, b, field: PrimeField, counter: OpCounter | None,
         tl = (_pluq_times_pluq(da, db, field, counter)
               + _lt_times_lt(a.top_right, b.bottom_left, field, counter, False)) % p
         out[:h, :h] = tl
-        out[:h, h:] = _pluq_times_node(da, b.top_right, field, counter, False)
-        out[h:, :h] = _node_times_pluq(a.bottom_left, db, field, counter, False)
+        out[:h, h:] = _pluq_times_node(da, b.top_right, h, field, counter, False)
+        out[h:, :h] = _node_times_pluq(a.bottom_left, db, h, field, counter, False)
         out[h:, h:] = _lt_times_lt(a.bottom_left, b.top_right, field, counter, False)
     else:
         # J @ B swaps B's quadrant roles: [[J B3, 0], [J B1, J B2]].
-        tl = (_pluq_times_node(da, b.bottom_left, field, counter, True)
-              + _node_times_pluq(a.top_right, db, field, counter, True)) % p
+        tl = (_pluq_times_node(da, b.bottom_left, h, field, counter, True)
+              + _node_times_pluq(a.top_right, db, h, field, counter, True)) % p
         out[:h, :h] = tl
         out[:h, h:] = _lt_times_lt(a.top_right, b.top_right, field, counter, True)
         out[h:, :h] = _lt_times_lt(a.bottom_left, b.bottom_left, field, counter, True)

@@ -7,10 +7,14 @@ from quasisep import (CompressionError, OpCounter, compact_bruhat,
                       is_left_triangular, left_part, lt_bruhat, lt_rpm, mat,
                       qs_from_dense, qs_order, qs_order_bruteforce,
                       qs_orders_bruteforce, qs_to_dense, random_left_triangular,
-                      random_matrix, random_qs, reconstruct, tree_generator)
+                      random_matrix, random_qs, reconstruct, rpm_bruteforce,
+                      tree_generator)
 from quasisep.generators import TreeLeaf, TreeNode
 
-from util import F5, F65521
+from util import F2, F5, F65521, F2147483647
+
+# edges of the modulus range at sizes from 1 up to past a power of two
+EDGE_CASES = [(f, n) for f in (F2, F2147483647) for n in (1, 2, 7, 16, 33)]
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +88,9 @@ def test_bruhat_reconstruction_corpus():
         A = random_left_triangular(n, s, int(rng.integers(0, 2**31)), F65521)
         g = lt_bruhat(A, F65521)
         assert np.array_equal(reconstruct(g), A)
+    for f, n in EDGE_CASES:
+        A = random_left_triangular(n, max(1, n // 4), n, f)
+        assert np.array_equal(reconstruct(lt_bruhat(A, f)), A)
 
 
 def test_bruhat_operates_on_left_part():
@@ -101,6 +108,10 @@ def test_bruhat_pivots_are_left_rpm():
                                    int(rng.integers(0, 2**31)), F65521)
         g = lt_bruhat(A, F65521)
         assert g.pivots == lt_rpm(A, F65521).pivots
+    for f, n in EDGE_CASES:
+        A = random_left_triangular(n, max(1, n // 4), n + 1, f)
+        assert lt_bruhat(A, f).pivots == lt_rpm(A, f).pivots \
+            == rpm_bruteforce(A, f).left_part().pivots
 
 
 def test_bruhat_size_and_disjoint_support():

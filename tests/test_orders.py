@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quasisep import (lt_rpm, mat, qs_order, qs_order_bruteforce,
+from quasisep import (OpCounter, lt_rpm, mat, qs_order, qs_order_bruteforce,
                       qs_orders_bruteforce, quasiseparable_orders,
                       random_left_triangular, random_matrix, rank,
                       reverse_rows, rpm_bruteforce, strict_lower)
@@ -63,9 +63,9 @@ def test_qs_order_matches_bruteforce():
 
 
 def test_padding_keeps_left_region_pivots():
-    # lt_rpm pads internally; the pivots inside the original region must be
-    # exactly those of the padded run, and the padded run may only add
-    # pivots in the enlarged region.
+    # appending zero rows and columns to A keeps its left-region pivots:
+    # the pivots inside the original region must be exactly those of the
+    # padded matrix, which may only add pivots in the enlarged region.
     rng = np.random.default_rng(203)
     for _ in range(40):
         n = int(rng.integers(2, 24))
@@ -78,6 +78,17 @@ def test_padding_keeps_left_region_pivots():
         assert set(pivots) <= set(padded_pivots)
         assert [piv for piv in padded_pivots if piv[0] + piv[1] <= n - 2] == pivots
         assert qs_order(pivots, n) == qs_order_bruteforce(A, F65521)
+
+
+def test_non_power_of_two_costs_no_more_than_next_power():
+    # n = 96 runs on a size-128 recursion whose left region is that of A,
+    # so it may not cost more multiplications than an instance at n = 128
+    muls = []
+    for n in (96, 128):
+        c = OpCounter()
+        lt_rpm(random_left_triangular(n, 2, 5, F65521), F65521, c)
+        muls.append(c.muls)
+    assert muls[0] <= muls[1]
 
 
 def test_slicing_identity():

@@ -9,7 +9,7 @@ from quasisep import (OpCounter, lt_bruhat, mat, mat_mul, mat_vec,
                       random_matrix, random_qs, reconstruct, reverse_rows,
                       tree_generator)
 
-from util import F5, F65521, dense_matvec
+from util import F5, F65521, F2147483647, dense_matvec
 
 
 def test_reconstruct_empty_generators():
@@ -90,6 +90,18 @@ def test_matvec_qs_all_representations():
         want = mat_vec(M, x, F65521)
         kind = ("tree", "bruhat", "compact")[trial % 3]
         assert np.array_equal(matvec_qs(qs_from_dense(M, kind, F65521), x), want)
+    # unreduced and negative vectors at the top of the modulus range
+    f = F2147483647
+    M = random_qs(20, 3, 2, 7, f)
+    A = random_left_triangular(20, 3, 8, f)
+    for x in (np.full(20, 2**62, dtype=np.int64),
+              -rng.integers(0, 2**62, 20, dtype=np.int64)):
+        for kind in ("tree", "bruhat", "compact"):
+            assert np.array_equal(matvec_qs(qs_from_dense(M, kind, f), x),
+                                  dense_matvec(M, x, f))
+        for g, matvec in ((tree_generator(A, f), matvec_tree),
+                          (lt_bruhat(A, f), matvec_bruhat)):
+            assert np.array_equal(matvec(g, x), dense_matvec(A, x, f))
 
 
 def test_matvec_qs_diagonal_and_basis_vector():

@@ -100,3 +100,4 @@ F65521 = PrimeField(65521)
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F2147483647 = PrimeField(2**31 - 1)
