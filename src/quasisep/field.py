@@ -152,12 +152,6 @@ class Permutation:
         out[:, self.img] = A
         return out
 
-    def apply_vec(self, x: np.ndarray) -> np.ndarray:
-        """M @ x."""
-        out = np.empty_like(x)
-        out[self.img] = x
-        return out
-
     def to_matrix(self) -> np.ndarray:
         n = len(self)
         M = np.zeros((n, n), dtype=np.int64)

@@ -163,12 +163,6 @@ class BruhatGenerator:
             U[i, j:j + len(seg)] = seg
         return U
 
-    def dense_e(self) -> np.ndarray:
-        E = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, j in self.pivots:
-            E[i, j] = 1
-        return E
-
     def validate(self) -> None:
         if sorted(self.pivots) != self.pivots:
             raise ValueError("pivots must be sorted by row")
@@ -211,12 +205,14 @@ def lt_bruhat(A: np.ndarray, field: PrimeField,
 
 
 def bruhat_reconstruct(g: BruhatGenerator, counter: OpCounter | None = None) -> np.ndarray:
-    """Left(L E^T U) as a dense matrix."""
-    X = np.zeros((g.n, g.n), dtype=np.int64)
-    U = g.dense_u()
-    for i, j in g.pivots:
-        X[j] = U[i]
-    return left_part(mat_mul(g.dense_l(), X, g.field, counter))
+    """Left(L E^T U) as a dense matrix, from the n x r pivot columns of L
+    and the r x n pivot rows of U."""
+    Lcols = np.zeros((g.n, g.rank), dtype=np.int64)
+    Urows = np.zeros((g.rank, g.n), dtype=np.int64)
+    for k, ((i, j), lseg, useg) in enumerate(zip(g.pivots, g.lower_segs, g.upper_segs)):
+        Lcols[i:i + len(lseg), k] = lseg
+        Urows[k, j:j + len(useg)] = useg
+    return left_part(mat_mul(Lcols, Urows, g.field, counter))
 
 
 # ---------------------------------------------------------------------------
@@ -392,22 +388,19 @@ def compact_bruhat(g: BruhatGenerator, s: int) -> CompactBruhatGenerator:
     return CompactBruhatGenerator(g.n, s, g.field, list(g.pivots), lower, upper, R)
 
 
-def compact_reconstruct(cb: CompactBruhatGenerator,
-                        counter: OpCounter | None = None) -> np.ndarray:
-    """Left((D_L + S_L T_L) R (D_U + T_U S_U)); the Left projection is the
-    erratum fix to the plain three-factor product."""
-    CL = cb.lower.dense_cr()
-    CU = cb.upper.dense_cr().T.copy()
-    return left_part(mat_mul(cb.R.apply_cols(CL), CU, cb.field, counter))
-
-
 def compact_to_bruhat(cb: CompactBruhatGenerator) -> BruhatGenerator:
-    """Re-extract per-pivot segments from the decompressed factors."""
-    Ld = decompress_echelon(cb.lower)
-    Ud = decompress_echelon(cb.upper)
+    """Re-extract per-pivot segments from the two decompressed n x r sides;
+    the one decoder of the compact format.
+
+    Densifying the result applies Left() to L E^T U; the plain product
+    (D_L + S_L T_L) R (D_U + T_U S_U) needs that projection too (erratum).
+    """
     n = cb.n
-    lower = [Ld[i:n - j - 1, j].copy() for i, j in cb.pivots]
-    upper = [Ud[i, j:n - i - 1].copy() for i, j in cb.pivots]
+    CL, CU = cb.lower.dense_cr(), cb.upper.dense_cr()
+    at_l = {j: q for q, j in enumerate(cb.lower.ech_cols.tolist())}  # column j of L
+    at_u = {i: q for q, i in enumerate(cb.upper.ech_cols.tolist())}  # row i of U
+    lower = [CL[i:n - j - 1, at_l[j]].copy() for i, j in cb.pivots]
+    upper = [CU[j:n - i - 1, at_u[i]].copy() for i, j in cb.pivots]
     return BruhatGenerator(n, cb.field, list(cb.pivots), lower, upper)
 
 

@@ -109,13 +109,14 @@ def _left_elimination(A: np.ndarray, field: PrimeField,
         I = np.zeros((h, h), dtype=np.int64)    # [0 | G] Q1, by a column gather:
         I[:, r1:] = G                           # numpy scatters columns slower
         I = d.Q.apply_cols(I)
+        del B, C, D, E, F, G                    # not held across the recursion
         rec(H, row0, col0 + h)
         rec(I, row0 + h, col0)
 
     n = A.shape[0]
     N = next_pow2(max(n, 1))
     W = np.zeros((N, N), dtype=np.int64)
-    W[:n, N - n:] = np.asarray(A, dtype=np.int64) % p
+    np.remainder(np.asarray(A, dtype=np.int64), p, out=W[:n, N - n:])
     rec(W, 0, n - N)
     found.sort(key=lambda piv: piv[0])
     return found
@@ -142,10 +143,10 @@ def quasiseparable_orders(M: np.ndarray, field: PrimeField,
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("quasiseparable_orders expects a square matrix")
-    low = reverse_rows(strict_lower(M))   # J_n @ lower part, left triangular
-    up = reverse_cols(strict_upper(M))    # upper part @ J_n, left triangular
-    r_l = qs_order(lt_rpm(low, field, counter).pivots, n)
-    r_u = qs_order(lt_rpm(up, field, counter).pivots, n)
+    # J_n @ lower part and upper part @ J_n, both left triangular, each
+    # formed only for its own call
+    r_l = qs_order(lt_rpm(reverse_rows(strict_lower(M)), field, counter).pivots, n)
+    r_u = qs_order(lt_rpm(reverse_cols(strict_upper(M)), field, counter).pivots, n)
     return QsOrders(r_l, r_u)
 
 

@@ -1,32 +1,38 @@
 """Reconstruction, structured matrix-vector products and multiplication.
 
-The Bruhat matvec uses one running prefix table per pivot row so that the
-left-region truncation costs nothing beyond the stored coefficients.  The
-left-triangular product recursion follows the quadrant scheme: two
-recursive products plus PLUQ-against-subtree cross terms per level.
+`_bruhat_apply` is the one kernel that applies a Bruhat triple, to a
+vector or a block: a single cumulative sum over all upper segments serves
+every left-region truncation, so each column costs one multiplication per
+stored nonzero.  A compact generator is decoded by
+`generators.compact_to_bruhat` and applied the same way; a tree generator
+is applied by the quadrant recursion `_times_tall`.  The left-triangular
+product recursion follows the quadrant scheme: two recursive products plus
+PLUQ-against-subtree cross terms per level.  `mul_qs_qs` runs it on two
+tree operands; otherwise it applies the left operand's own
+representations to the densified right one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import (OpCounter, PrimeField, mat_mul, mat_vec, reverse_cols,
+from .field import (OpCounter, PrimeField, mat_mul, reverse_cols,
                     reverse_rows)
 from .generators import (BruhatGenerator, CompactBruhatGenerator, QsMatrix,
                          TreeGenerator, TreeLeaf, bruhat_reconstruct,
-                         compact_reconstruct, compact_to_bruhat,
-                         qs_from_dense, tree_dense, tree_generator, tree_size)
+                         compact_to_bruhat, tree_dense, tree_generator,
+                         tree_size)
 from .pluq import PluqDecomposition
 
 
 def reconstruct(g, counter: OpCounter | None = None) -> np.ndarray:
     """Densify any of the three left triangular representations."""
+    if isinstance(g, CompactBruhatGenerator):
+        g = compact_to_bruhat(g)
     if isinstance(g, TreeGenerator):
         return tree_dense(g.root, g.field, counter)[:g.n, :g.n]
     if isinstance(g, BruhatGenerator):
         return bruhat_reconstruct(g, counter)
-    if isinstance(g, CompactBruhatGenerator):
-        return compact_reconstruct(g, counter)
     raise TypeError(f"no reconstruction for {type(g).__name__}")
 
 
@@ -34,60 +40,60 @@ def reconstruct(g, counter: OpCounter | None = None) -> np.ndarray:
 # matrix-vector products
 
 
+def _bruhat_apply(g: BruhatGenerator, X: np.ndarray,
+                  counter: OpCounter | None) -> np.ndarray:
+    """Left(L E^T U) X for a reduced vector or n x k block X.
+
+    The pivot at (i, j) with segments l, u of length m adds to row i + d
+    the value l_d * sum(u_t x_{j+t} for t <= m - 1 - d): the left-region
+    truncation.  All segments go at once: one cumulative sum over the
+    concatenated products u_t x_{j+t} mod p (exact in int64, each term is
+    below p < 2**31), less each segment's base, read at the truncation
+    points and scattered into the rows.  Block columns go in slices that
+    keep every temporary near n * n elements.
+    """
+    n, p = g.n, g.field.p
+    X2 = X[:, None] if X.ndim == 1 else X
+    if counter is not None:
+        nnz = X2.shape[1] * (g.nnz_lower() + g.nnz_upper())
+        counter.muls += nnz
+        counter.adds += nnz
+    Y = np.zeros(X2.shape, dtype=np.int64)
+    lens = np.array([len(seg) for seg in g.lower_segs], dtype=np.int64)
+    total = int(lens.sum())
+    if total:
+        piv = np.array(g.pivots, dtype=np.int64)
+        base = np.repeat(np.cumsum(lens) - lens, lens)   # flat start of the segment
+        d = np.arange(total) - base                       # offset within the segment
+        rows = np.repeat(piv[:, 0], lens) + d
+        cols = np.repeat(piv[:, 1], lens) + d
+        cut = base + np.repeat(lens, lens) - d            # one past the last term kept
+        lower = np.concatenate(g.lower_segs)[:, None]
+        upper = np.concatenate(g.upper_segs)[:, None]
+        width = max(1, n * n // total)
+        for c in range(0, X2.shape[1], width):
+            terms = upper * X2[cols, c:c + width]
+            terms %= p
+            sums = np.zeros((total + 1, terms.shape[1]), dtype=np.int64)
+            np.cumsum(terms, axis=0, out=sums[1:])
+            terms = sums[cut]
+            terms -= sums[base]
+            terms %= p
+            terms *= lower
+            terms %= p
+            np.add.at(Y[:, c:c + width], rows, terms)
+    Y %= p
+    return Y[:, 0] if X.ndim == 1 else Y
+
+
 def matvec_bruhat(g: BruhatGenerator, x: np.ndarray,
                   counter: OpCounter | None = None) -> np.ndarray:
-    """y = Left(L E^T U) x without densifying.
-
-    prefix_k(m) accumulates row r_k of U against x up to column m; entry
-    y_i then needs one multiplication per stored nonzero of L, looked up
-    at the truncation point m = n - i - 2 (0-based).
-    """
-    n = g.n
-    p = g.field.p
-    x = np.asarray(x, dtype=np.int64) % p
-    if x.shape != (n,):
+    """y = Left(L E^T U) x without densifying, one multiplication per
+    stored nonzero."""
+    x = np.asarray(x, dtype=np.int64) % g.field.p
+    if x.shape != (g.n,):
         raise ValueError("vector length mismatch")
-    y = [0] * n
-    for k, (i, j) in enumerate(g.pivots):
-        useg = g.upper_segs[k]
-        lseg = g.lower_segs[k]
-        prefix = np.zeros(len(useg), dtype=np.int64)
-        acc = 0
-        for t in range(len(useg)):
-            u = int(useg[t])
-            if u:
-                acc = (acc + u * int(x[j + t])) % p
-                if counter is not None:
-                    counter.muls += 1
-                    counter.adds += 1
-            prefix[t] = acc
-        for d in range(len(lseg)):
-            lv = int(lseg[d])
-            if lv == 0:
-                continue
-            row = i + d
-            y[row] = (y[row] + lv * int(prefix[n - row - 2 - j])) % p
-            if counter is not None:
-                counter.muls += 1
-                counter.adds += 1
-    return np.array(y, dtype=np.int64)
-
-
-def _tree_matvec(node, x: np.ndarray, field: PrimeField,
-                 counter: OpCounter | None) -> np.ndarray:
-    if isinstance(node, TreeLeaf):
-        return mat_vec(node.block, x, field, counter)
-    d = node.pluq
-    h = d.m
-    x1, x2 = x[:h], x[h:]
-    t = d.Q.apply_vec(x1)
-    t = mat_vec(d.U, t, field, counter)
-    t = mat_vec(d.L, t, field, counter)
-    y1 = (d.P.apply_vec(t) + _tree_matvec(node.top_right, x2, field, counter)) % field.p
-    if counter is not None:
-        counter.adds += h
-    y2 = _tree_matvec(node.bottom_left, x1, field, counter)
-    return np.concatenate([y1, y2])
+    return _bruhat_apply(g, x, counter)
 
 
 def matvec_tree(g: TreeGenerator, x: np.ndarray,
@@ -95,19 +101,21 @@ def matvec_tree(g: TreeGenerator, x: np.ndarray,
     x = np.asarray(x, dtype=np.int64) % g.field.p
     if x.shape != (g.n,):
         raise ValueError("vector length mismatch")
-    xp = np.zeros(g.size, dtype=np.int64)
-    xp[:g.n] = x
-    return _tree_matvec(g.root, xp, g.field, counter)[:g.n]
+    return mul_lt_by_flat(g, x[:, None], counter)[:, 0]
 
 
-def _matvec_rep(rep, x: np.ndarray, counter: OpCounter | None) -> np.ndarray:
-    if isinstance(rep, TreeGenerator):
-        return matvec_tree(rep, x, counter)
-    if isinstance(rep, BruhatGenerator):
-        return matvec_bruhat(rep, x, counter)
+def _rep_times(rep, X: np.ndarray, counter: OpCounter | None) -> np.ndarray:
+    """rep @ X.  A vector goes through the public matvecs, a block straight
+    to the tree recursion or the Bruhat kernel."""
     if isinstance(rep, CompactBruhatGenerator):
-        return matvec_bruhat(compact_to_bruhat(rep), x, counter)
-    raise TypeError(f"no matvec for {type(rep).__name__}")
+        rep = compact_to_bruhat(rep)
+    if isinstance(rep, TreeGenerator):
+        return matvec_tree(rep, X, counter) if X.ndim == 1 \
+            else mul_lt_by_flat(rep, X, counter)
+    if isinstance(rep, BruhatGenerator):
+        return matvec_bruhat(rep, X, counter) if X.ndim == 1 \
+            else _bruhat_apply(rep, X, counter)
+    raise TypeError(f"no product for {type(rep).__name__}")
 
 
 def matvec_qs(M: QsMatrix, x: np.ndarray,
@@ -117,8 +125,8 @@ def matvec_qs(M: QsMatrix, x: np.ndarray,
     x = np.asarray(x, dtype=np.int64) % p
     if x.shape != (M.n,):
         raise ValueError("vector length mismatch")
-    low = _matvec_rep(M.lower, x, counter)[::-1]
-    up = _matvec_rep(M.upper, x[::-1].copy(), counter)
+    low = _rep_times(M.lower, x, counter)[::-1]
+    up = _rep_times(M.upper, x[::-1].copy(), counter)
     if counter is not None:
         counter.muls += M.n
         counter.adds += 2 * M.n
@@ -164,7 +172,7 @@ def _times_tall(node, F: np.ndarray, field: PrimeField,
     if counter is not None:
         counter.adds += X.size
     bottom = _times_tall(node.bottom_left, Ft, field, counter)
-    return np.vstack([top, bottom])
+    return np.concatenate([top, bottom])
 
 
 def _padded(F: np.ndarray, size: int, axis: int) -> np.ndarray:
@@ -315,40 +323,42 @@ def qs_to_dense(M: QsMatrix, counter: OpCounter | None = None) -> np.ndarray:
     return (low + up + np.diag(M.diag)) % M.field.p
 
 
-def _as_tree(M: QsMatrix) -> QsMatrix:
-    if M.rep_kind == "tree":
-        return M
-    return qs_from_dense(qs_to_dense(M), "tree", M.field)
-
-
 def mul_qs_qs(A: QsMatrix, B: QsMatrix,
               counter: OpCounter | None = None) -> np.ndarray:
     """Exact dense product of two quasiseparable matrices.
 
-    The four triangular cross products reduce to left triangular products
-    with the outer J factors applied as row/column reversals of the dense
-    results; the inner J factors either cancel or flip the recursion mode.
-    Non-tree operands are converted first (conversion outside the counter).
+    Two tree operands run the tree recursion: the four triangular cross
+    products reduce to left triangular products with the outer J factors
+    applied as row/column reversals of the dense results; the inner J
+    factors either cancel or flip the recursion mode.  Otherwise B is
+    densified and A applied to it through its own representations,
+    J rep(A.lower) B + diag(A) B + rep(A.upper) J B, in O(n^2 s) operations.
     """
     if A.n != B.n:
         raise ValueError("size mismatch in mul_qs_qs")
     if A.field != B.field:
         raise ValueError("field mismatch in mul_qs_qs")
-    field = A.field
-    p = field.p
+    p = A.field.p
     n = A.n
-    At, Bt = _as_tree(A), _as_tree(B)
+    if A.rep_kind != "tree" or B.rep_kind != "tree":
+        Bd = qs_to_dense(B, counter)
+        low = _rep_times(A.lower, Bd, counter)[::-1]
+        up = _rep_times(A.upper, Bd[::-1], counter)
+        if counter is not None:
+            counter.muls += n * n
+            counter.adds += 2 * n * n
+        return (low + up + A.diag[:, None] * Bd) % p
 
-    ll = reverse_rows(mul_lt_lt(At.lower, Bt.lower, counter, middle_reversed=True))
-    lu = reverse_rows(reverse_cols(mul_lt_lt(At.lower, Bt.upper, counter)))
-    ul = mul_lt_lt(At.upper, Bt.lower, counter)
-    uu = reverse_cols(mul_lt_lt(At.upper, Bt.upper, counter, middle_reversed=True))
+    ll = reverse_rows(mul_lt_lt(A.lower, B.lower, counter, middle_reversed=True))
+    lu = reverse_rows(reverse_cols(mul_lt_lt(A.lower, B.upper, counter)))
+    ul = mul_lt_lt(A.upper, B.lower, counter)
+    uu = reverse_cols(mul_lt_lt(A.upper, B.upper, counter, middle_reversed=True))
 
-    Bd = qs_to_dense(Bt, counter)
-    Ad = qs_to_dense(At, counter)
-    diag_a = (At.diag[:, None] * Bd) % p
-    off_a = (Ad - np.diag(At.diag)) % p
-    diag_b = (off_a * Bt.diag[None, :]) % p
+    Bd = qs_to_dense(B, counter)
+    Ad = qs_to_dense(A, counter)
+    diag_a = (A.diag[:, None] * Bd) % p
+    off_a = (Ad - np.diag(A.diag)) % p
+    diag_b = (off_a * B.diag[None, :]) % p
     if counter is not None:
         counter.muls += 2 * n * n
         counter.adds += 5 * n * n

@@ -13,9 +13,8 @@ import numpy as np
 
 from .field import (OpCounter, PrimeField, left_part, mat_mul, mat_vec,
                     random_matrix, reverse_rows)
-from .generators import (compact_bruhat, compact_reconstruct, lt_bruhat,
-                         qs_from_dense, random_left_triangular, random_qs,
-                         tree_generator)
+from .generators import (compact_bruhat, lt_bruhat, qs_from_dense,
+                         random_left_triangular, random_qs, tree_generator)
 from .orders import (lt_rpm, qs_order, qs_order_bruteforce,
                      qs_orders_bruteforce, quasiseparable_orders)
 from .pluq import check_pluq_structure, pluq_rpm, rpm_bruteforce, rpm_from_pluq
@@ -147,7 +146,7 @@ def _check_compact(rng, trials):
         g = lt_bruhat(A, FIELD)
         order = max(qs_order(g.pivots, n), 0)
         cb = compact_bruhat(g, order)
-        if not np.array_equal(compact_reconstruct(cb), A):
+        if not np.array_equal(reconstruct(cb), A):
             return False
         widths = cb.lower.widths
         for b, k in enumerate(cb.lower.block_rows):

@@ -233,6 +233,21 @@ def test_compact_bruhat_reconstruction():
         assert np.array_equal(reconstruct(back), A)
 
 
+def test_compact_decode_and_reconstruct_structured_corpus():
+    from util import structured_corpus
+    for f, A in structured_corpus((F2, F2147483647), (1, 2, 33)):
+        n = A.shape[0]
+        g = lt_bruhat(A, f)
+        cb = compact_bruhat(g, qs_order(g.pivots, n))
+        back = compact_to_bruhat(cb)
+        assert back.pivots == g.pivots
+        for got, seg in zip(back.lower_segs + back.upper_segs,
+                            g.lower_segs + g.upper_segs):
+            assert np.array_equal(got, seg)
+        assert np.array_equal(reconstruct(g), A)
+        assert np.array_equal(reconstruct(cb), A)
+
+
 def test_compact_zero_and_single():
     cb = compact_bruhat(lt_bruhat(np.zeros((4, 4), dtype=np.int64), F5), 0)
     assert cb.rank == 0

@@ -9,7 +9,7 @@ from quasisep import (OpCounter, lt_bruhat, mat, mat_mul, mat_vec,
                       random_matrix, random_qs, reconstruct, reverse_rows,
                       tree_generator)
 
-from util import F5, F65521, F2147483647, dense_matvec
+from util import F2, F5, F65521, F2147483647, dense_matvec
 
 
 def test_reconstruct_empty_generators():
@@ -61,6 +61,18 @@ def test_matvec_bruhat_high_rank_instances():
         c = OpCounter()
         assert np.array_equal(matvec_bruhat(g, x, c), mat_vec(A, x, F65521))
         assert c.muls <= g.nnz_lower() + g.nnz_upper()
+
+
+def test_matvec_bruhat_counts_exactly_the_stored_nonzeros():
+    from util import structured_corpus
+    rng = np.random.default_rng(410)
+    for f, A in structured_corpus((F2, F2147483647), (1, 2, 33)):
+        n = A.shape[0]
+        g = lt_bruhat(A, f)
+        x = rng.integers(0, f.p, n, dtype=np.int64)
+        c = OpCounter()
+        assert np.array_equal(matvec_bruhat(g, x, c), dense_matvec(A, x, f))
+        assert c.muls == c.adds == g.nnz_lower() + g.nnz_upper()
 
 
 def test_matvec_tree_oracle():
@@ -243,13 +255,27 @@ def test_mul_qs_qs_oracle_and_order_bound():
 
 
 def test_mul_qs_qs_converts_other_representations():
-    M = random_qs(20, 2, 2, 11, F65521)
-    N = random_qs(20, 1, 3, 12, F65521)
-    want = mat_mul(M, N, F65521)
-    for ka in ("bruhat", "compact"):
-        qa = qs_from_dense(M, ka, F65521)
-        qb = qs_from_dense(N, "tree", F65521)
-        assert np.array_equal(mul_qs_qs(qa, qb), want)
+    # every pair of kinds; only tree x tree runs the tree recursion, the
+    # others apply A's own representations to the densified B
+    for f in (F65521, F2147483647):
+        for n in (1, 7, 33, 64):
+            M = random_qs(n, min(2, n - 1), min(2, n - 1), 11 + n, f)
+            N = random_qs(n, min(1, n - 1), min(3, n - 1), 12 + n, f)
+            want = mat_mul(M, N, f)
+            oa, ob, ow = (qs_orders_bruteforce(X, f) for X in (M, N, want))
+            assert ow.r_l <= oa.r_l + ob.r_l and ow.r_u <= oa.r_u + ob.r_u
+            for ka in ("tree", "bruhat", "compact"):
+                for kb in ("tree", "bruhat", "compact"):
+                    qa = qs_from_dense(M, ka, f)
+                    qb = qs_from_dense(N, kb, f)
+                    c = OpCounter()
+                    assert np.array_equal(mul_qs_qs(qa, qb, c), want)
+                    if ka == "bruhat":
+                        cb = OpCounter()
+                        qs_to_dense(qb, cb)
+                        nnz = sum(g.nnz_lower() + g.nnz_upper()
+                                  for g in (qa.lower, qa.upper))
+                        assert c.muls <= n * nnz + cb.muls + n * n
 
 
 def test_mul_qs_qs_commutes_with_densify():

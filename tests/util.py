@@ -96,6 +96,22 @@ def high_rank_left_triangular(n, s0, band, seed, field):
     return A % p
 
 
+def structured_corpus(fields, sizes):
+    """(field, A) over the high-rank, banded and tridiagonal families.
+
+    High-rank: a masked rank-2 product plus two bands at the anti-diagonal;
+    banded: three bands alone; tridiagonal: both reversed triangles of an
+    invertible tridiagonal matrix (rank n-1, order 1).
+    """
+    for f in fields:
+        for n in sizes:
+            yield f, high_rank_left_triangular(n, 2, 2, n, f)
+            yield f, high_rank_left_triangular(n, 0, 3, n + 1, f)
+            T, _ = random_invertible_tridiagonal(n, n + 2, f)
+            yield f, np.tril(T, -1)[::-1].copy()
+            yield f, np.triu(T, 1)[:, ::-1].copy()
+
+
 F65521 = PrimeField(65521)
 F2 = PrimeField(2)
 F3 = PrimeField(3)
