@@ -14,9 +14,8 @@ from .orders import (QsOrders, lt_rpm, qs_order, qs_order_bruteforce,
                      qs_orders_bruteforce, quasiseparable_orders)
 from .pluq import (PluqDecomposition, RankProfileMatrix, check_pluq_structure,
                    pluq_rpm, rpm_bruteforce, rpm_from_pluq)
-from .structops import (matvec_bruhat, matvec_qs, matvec_tree, mul_flat_by_lt,
-                        mul_lt_by_flat, mul_lt_by_pluq, mul_lt_lt,
-                        mul_pluq_by_lt, mul_qs_qs, qs_to_dense, reconstruct)
+from .structops import (matvec_bruhat, matvec_qs, matvec_tree, mul_lt_by_flat,
+                        mul_lt_lt, mul_qs_qs, qs_to_dense, reconstruct)
 
 __version__ = "0.1.0"
 
@@ -28,9 +27,8 @@ __all__ = [
     "compress_echelon", "compress_echelon_upper", "decompress_echelon",
     "is_left_triangular", "left_part", "lt_bruhat", "lt_rpm", "mat",
     "mat_mul", "mat_vec", "matvec_bruhat", "matvec_qs", "matvec_tree",
-    "mul_flat_by_lt", "mul_lt_by_flat", "mul_lt_by_pluq", "mul_lt_lt",
-    "mul_pluq_by_lt", "mul_qs_qs", "pluq_rpm", "qs_from_dense", "qs_order",
-    "qs_order_bruteforce", "qs_orders_bruteforce", "qs_to_dense",
+    "mul_lt_by_flat", "mul_lt_lt", "mul_qs_qs", "pluq_rpm", "qs_from_dense",
+    "qs_order", "qs_order_bruteforce", "qs_orders_bruteforce", "qs_to_dense",
     "quasiseparable_orders", "random_left_triangular", "random_matrix",
     "random_qs", "rank", "reconstruct", "reverse_cols", "reverse_rows",
     "rpm_bruteforce", "rpm_from_pluq", "strict_lower", "strict_upper",

@@ -50,12 +50,6 @@ class TreeNode:
     bottom_left: "TreeNode | TreeLeaf"
 
 
-def tree_size(node) -> int:
-    if isinstance(node, TreeLeaf):
-        return node.block.shape[0]
-    return 2 * node.pluq.m
-
-
 @dataclass
 class TreeGenerator:
     n: int          # represented size

@@ -5,11 +5,10 @@ vector or a block: a single cumulative sum over all upper segments serves
 every left-region truncation, so each column costs one multiplication per
 stored nonzero.  A compact generator is decoded by
 `generators.compact_to_bruhat` and applied the same way; a tree generator
-is applied by the quadrant recursion `_times_tall`.  The left-triangular
-product recursion follows the quadrant scheme: two recursive products plus
-PLUQ-against-subtree cross terms per level.  `mul_qs_qs` runs it on two
-tree operands; otherwise it applies the left operand's own
-representations to the densified right one.
+is applied by the quadrant recursion `_times_tall`.  Products are dense:
+`mul_qs_qs` densifies its right operand and applies the left operand's
+own representations to it, whatever the two kinds, and `mul_lt_lt` does
+the same for two tree represented left triangular matrices.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from .field import (OpCounter, PrimeField, mat_mul, reverse_cols,
                     reverse_rows)
 from .generators import (BruhatGenerator, CompactBruhatGenerator, QsMatrix,
                          TreeGenerator, TreeLeaf, bruhat_reconstruct,
-                         compact_to_bruhat, tree_dense, tree_generator,
-                         tree_size)
-from .pluq import PluqDecomposition
+                         compact_to_bruhat, tree_dense)
 
 
 def reconstruct(g, counter: OpCounter | None = None) -> np.ndarray:
@@ -137,25 +134,6 @@ def matvec_qs(M: QsMatrix, x: np.ndarray,
 # products against tree generators
 
 
-def _flat_times(node, F: np.ndarray, field: PrimeField,
-                counter: OpCounter | None) -> np.ndarray:
-    """F @ A for a node of the tree (F is k x m)."""
-    if isinstance(node, TreeLeaf):
-        return mat_mul(F, node.block, field, counter)
-    d = node.pluq
-    h = d.m
-    Fl, Fr = F[:, :h], F[:, h:]
-    X = d.P.apply_cols(Fl)
-    X = mat_mul(X, d.L, field, counter)
-    X = mat_mul(X, d.U, field, counter)
-    X = d.Q.apply_cols(X)
-    left = (X + _flat_times(node.bottom_left, Fr, field, counter)) % field.p
-    if counter is not None:
-        counter.adds += X.size
-    right = _flat_times(node.top_right, Fl, field, counter)
-    return np.hstack([left, right])
-
-
 def _times_tall(node, F: np.ndarray, field: PrimeField,
                 counter: OpCounter | None) -> np.ndarray:
     """A @ F for a node of the tree (F is m x k)."""
@@ -175,138 +153,29 @@ def _times_tall(node, F: np.ndarray, field: PrimeField,
     return np.concatenate([top, bottom])
 
 
-def _padded(F: np.ndarray, size: int, axis: int) -> np.ndarray:
-    """F with zero rows (axis 0) or columns (axis 1) appended up to size."""
-    F = np.asarray(F, dtype=np.int64)
-    if F.shape[axis] == size:
-        return F
-    width = [(0, 0), (0, 0)]
-    width[axis] = (0, size - F.shape[axis])
-    return np.pad(F, width)
-
-
-def mul_flat_by_lt(F: np.ndarray, g: TreeGenerator,
-                   counter: OpCounter | None = None) -> np.ndarray:
-    """F @ reconstruct(g) for a flat F, recursing column-split by quadrant."""
-    if F.shape[1] != g.n:
-        raise ValueError("dimension mismatch in mul_flat_by_lt")
-    return _flat_times(g.root, _padded(F, g.size, 1), g.field, counter)[:, :g.n]
-
-
 def mul_lt_by_flat(g: TreeGenerator, F: np.ndarray,
                    counter: OpCounter | None = None) -> np.ndarray:
     """reconstruct(g) @ F for a tall F."""
     if F.shape[0] != g.n:
         raise ValueError("dimension mismatch in mul_lt_by_flat")
-    return _times_tall(g.root, _padded(F, g.size, 0), g.field, counter)[:g.n]
-
-
-def mul_pluq_by_lt(d: PluqDecomposition, g: TreeGenerator,
-                   counter: OpCounter | None = None,
-                   middle_reversed: bool = False) -> np.ndarray:
-    """(P L U Q) @ A, or (P L U Q) @ J @ A when middle_reversed."""
-    if d.n != g.n:
-        raise ValueError("dimension mismatch in mul_pluq_by_lt")
-    return _pluq_times_node(d, g.root, g.n, g.field, counter, middle_reversed)
-
-
-def mul_lt_by_pluq(g: TreeGenerator, d: PluqDecomposition,
-                   counter: OpCounter | None = None,
-                   middle_reversed: bool = False) -> np.ndarray:
-    """A @ (P L U Q), or A @ J @ (P L U Q) when middle_reversed."""
-    if g.n != d.m:
-        raise ValueError("dimension mismatch in mul_lt_by_pluq")
-    return _node_times_pluq(g.root, d, g.n, g.field, counter, middle_reversed)
-
-
-def _pluq_times_pluq(da: PluqDecomposition, db: PluqDecomposition,
-                     field: PrimeField, counter: OpCounter | None) -> np.ndarray:
-    W = da.Q.apply_cols(da.U)
-    V = db.P.apply_rows(db.L)
-    M = mat_mul(W, V, field, counter)
-    X = mat_mul(da.L, M, field, counter)
-    X = mat_mul(X, db.U, field, counter)
-    return db.Q.apply_cols(da.P.apply_rows(X))
-
-
-def _pluq_times_node(d: PluqDecomposition, node, n: int, field: PrimeField,
-                     counter: OpCounter | None, rev: bool) -> np.ndarray:
-    """(P L U Q) @ A for the n x n A held top-left by a tree node, or
-    (P L U Q) @ J_n @ A when rev: U Q is reversed before it is padded."""
-    W = d.Q.apply_cols(d.U)
-    if rev:
-        W = W[:, ::-1]
-    X = _flat_times(node, _padded(W, tree_size(node), 1), field, counter)[:, :n]
-    X = mat_mul(d.L, X, field, counter)
-    return d.P.apply_rows(X)
-
-
-def _node_times_pluq(node, d: PluqDecomposition, n: int, field: PrimeField,
-                     counter: OpCounter | None, rev: bool) -> np.ndarray:
-    """A @ (P L U Q), or A @ J_n @ (P L U Q) when rev; the mirror of
-    `_pluq_times_node`."""
-    V = d.P.apply_rows(d.L)
-    if rev:
-        V = V[::-1]
-    X = _times_tall(node, _padded(V, tree_size(node), 0), field, counter)[:n]
-    X = mat_mul(X, d.U, field, counter)
-    return d.Q.apply_cols(X)
-
-
-def _lt_times_lt(a, b, field: PrimeField, counter: OpCounter | None,
-                 rev: bool) -> np.ndarray:
-    """Dense A @ B (rev=False) or A @ J @ B (rev=True) on tree nodes."""
-    if isinstance(a, TreeLeaf) or isinstance(b, TreeLeaf):
-        Ad = a.block if isinstance(a, TreeLeaf) else tree_dense(a, field, counter)
-        Bd = b.block if isinstance(b, TreeLeaf) else tree_dense(b, field, counter)
-        if rev:
-            Bd = Bd[::-1]
-        return mat_mul(Ad, Bd, field, counter)
-    da, db = a.pluq, b.pluq
-    h = da.m
-    p = field.p
-    out = np.zeros((2 * h, 2 * h), dtype=np.int64)
-    if not rev:
-        tl = (_pluq_times_pluq(da, db, field, counter)
-              + _lt_times_lt(a.top_right, b.bottom_left, field, counter, False)) % p
-        out[:h, :h] = tl
-        out[:h, h:] = _pluq_times_node(da, b.top_right, h, field, counter, False)
-        out[h:, :h] = _node_times_pluq(a.bottom_left, db, h, field, counter, False)
-        out[h:, h:] = _lt_times_lt(a.bottom_left, b.top_right, field, counter, False)
-    else:
-        # J @ B swaps B's quadrant roles: [[J B3, 0], [J B1, J B2]].
-        tl = (_pluq_times_node(da, b.bottom_left, h, field, counter, True)
-              + _node_times_pluq(a.top_right, db, h, field, counter, True)) % p
-        out[:h, :h] = tl
-        out[:h, h:] = _lt_times_lt(a.top_right, b.top_right, field, counter, True)
-        out[h:, :h] = _lt_times_lt(a.bottom_left, b.bottom_left, field, counter, True)
-    if counter is not None:
-        counter.adds += h * h
-    return out
+    F = np.asarray(F, dtype=np.int64)
+    if g.size != g.n:
+        F = np.pad(F, [(0, g.size - g.n), (0, 0)])
+    return _times_tall(g.root, F, g.field, counter)[:g.n]
 
 
 def mul_lt_lt(gA: TreeGenerator, gB: TreeGenerator,
               counter: OpCounter | None = None,
               middle_reversed: bool = False) -> np.ndarray:
-    """Dense product of two represented left triangular matrices.
-
-    middle_reversed computes A @ J_n @ B.  When n is not a power of two
-    the J_n of the represented size differs from the padded one, so B is
-    re-embedded bottom-left (an uncounted conversion) before recursing.
-    """
+    """Dense A @ B, or A @ J_n @ B when middle_reversed, of two tree
+    represented left triangular matrices: B is densified and A applied to
+    it by the tree recursion."""
     if gA.n != gB.n:
         raise ValueError("size mismatch in mul_lt_lt")
     if gA.field != gB.field:
         raise ValueError("field mismatch in mul_lt_lt")
-    n, N = gA.n, gA.size
-    field = gA.field
-    rootB = gB.root
-    if middle_reversed and N != n:
-        Bdense = reconstruct(gB)
-        Bemb = np.zeros((N, N), dtype=np.int64)
-        Bemb[N - n:, :n] = Bdense
-        rootB = tree_generator(Bemb, field, None, gB.leaf_size).root
-    return _lt_times_lt(gA.root, rootB, field, counter, middle_reversed)[:n, :n]
+    Bd = reconstruct(gB, counter)
+    return mul_lt_by_flat(gA, Bd[::-1] if middle_reversed else Bd, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -327,39 +196,20 @@ def mul_qs_qs(A: QsMatrix, B: QsMatrix,
               counter: OpCounter | None = None) -> np.ndarray:
     """Exact dense product of two quasiseparable matrices.
 
-    Two tree operands run the tree recursion: the four triangular cross
-    products reduce to left triangular products with the outer J factors
-    applied as row/column reversals of the dense results; the inner J
-    factors either cancel or flip the recursion mode.  Otherwise B is
-    densified and A applied to it through its own representations,
-    J rep(A.lower) B + diag(A) B + rep(A.upper) J B, in O(n^2 s) operations.
+    B is densified and A applied to it through its own representations,
+    J rep(A.lower) B + diag(A) B + rep(A.upper) J B, for every pair of
+    kinds: n block columns, each costing about one matvec with A, so
+    O(n^2 s) operations for Bruhat and compact A.
     """
     if A.n != B.n:
         raise ValueError("size mismatch in mul_qs_qs")
     if A.field != B.field:
         raise ValueError("field mismatch in mul_qs_qs")
-    p = A.field.p
     n = A.n
-    if A.rep_kind != "tree" or B.rep_kind != "tree":
-        Bd = qs_to_dense(B, counter)
-        low = _rep_times(A.lower, Bd, counter)[::-1]
-        up = _rep_times(A.upper, Bd[::-1], counter)
-        if counter is not None:
-            counter.muls += n * n
-            counter.adds += 2 * n * n
-        return (low + up + A.diag[:, None] * Bd) % p
-
-    ll = reverse_rows(mul_lt_lt(A.lower, B.lower, counter, middle_reversed=True))
-    lu = reverse_rows(reverse_cols(mul_lt_lt(A.lower, B.upper, counter)))
-    ul = mul_lt_lt(A.upper, B.lower, counter)
-    uu = reverse_cols(mul_lt_lt(A.upper, B.upper, counter, middle_reversed=True))
-
     Bd = qs_to_dense(B, counter)
-    Ad = qs_to_dense(A, counter)
-    diag_a = (A.diag[:, None] * Bd) % p
-    off_a = (Ad - np.diag(A.diag)) % p
-    diag_b = (off_a * B.diag[None, :]) % p
+    low = _rep_times(A.lower, Bd, counter)[::-1]
+    up = _rep_times(A.upper, Bd[::-1], counter)
     if counter is not None:
-        counter.muls += 2 * n * n
-        counter.adds += 5 * n * n
-    return (ll + lu + ul + uu + diag_a + diag_b) % p
+        counter.muls += n * n
+        counter.adds += 2 * n * n
+    return (low + up + A.diag[:, None] * Bd) % A.field.p

@@ -14,8 +14,7 @@ import numpy as np
 
 from .field import Permutation, PrimeField
 from .generators import (BruhatGenerator, CompactBruhatGenerator,
-                         CompactEchelon, TreeGenerator, TreeLeaf, TreeNode,
-                         tree_size)
+                         CompactEchelon, TreeGenerator, TreeLeaf, TreeNode)
 from .pluq import PluqDecomposition
 
 
@@ -315,7 +314,8 @@ def parse_tree(text: str) -> TreeGenerator:
     n, p, leaf_size = int(tok[1]), int(tok[2]), int(tok[3])
     field = PrimeField(p)
     root = _parse_tree_node(src, field)
-    return TreeGenerator(n, tree_size(root), root, field, leaf_size)
+    size = root.block.shape[0] if isinstance(root, TreeLeaf) else 2 * root.pluq.m
+    return TreeGenerator(n, size, root, field, leaf_size)
 
 
 # ---------------------------------------------------------------------------

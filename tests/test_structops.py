@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from quasisep import (OpCounter, lt_bruhat, mat, mat_mul, mat_vec,
-                      matvec_bruhat, matvec_qs, matvec_tree, mul_flat_by_lt,
-                      mul_lt_by_flat, mul_lt_by_pluq, mul_lt_lt,
-                      mul_pluq_by_lt, mul_qs_qs, pluq_rpm, qs_from_dense,
+                      matvec_bruhat, matvec_qs, matvec_tree, mul_lt_by_flat,
+                      mul_lt_lt, mul_qs_qs, qs_from_dense,
                       qs_orders_bruteforce, qs_to_dense, random_left_triangular,
                       random_matrix, random_qs, reconstruct, reverse_rows,
                       tree_generator)
@@ -128,47 +127,19 @@ def test_matvec_qs_diagonal_and_basis_vector():
     assert np.array_equal(matvec_qs(qsm, e1), M[:, 0])
 
 
-def test_mul_flat_by_lt():
+def test_mul_lt_by_flat():
     rng = np.random.default_rng(403)
     g_empty = tree_generator(np.zeros((16, 16), dtype=np.int64), F65521)
-    F0 = np.zeros((4, 16), dtype=np.int64)
-    assert np.array_equal(mul_flat_by_lt(F0, g_empty), F0)
+    T0 = np.zeros((16, 4), dtype=np.int64)
+    assert np.array_equal(mul_lt_by_flat(g_empty, T0), T0)
     A = random_left_triangular(64, 4, 10, F65521)
     g = tree_generator(A, F65521)
-    F = random_matrix(rng, 4, 64, F65521)
-    assert np.array_equal(mul_flat_by_lt(F, g), mat_mul(F, A, F65521))
-    assert np.array_equal(mul_flat_by_lt(np.zeros((4, 64), dtype=np.int64), g),
-                          np.zeros((4, 64), dtype=np.int64))
+    assert np.array_equal(mul_lt_by_flat(g, np.zeros((64, 4), dtype=np.int64)),
+                          np.zeros((64, 4), dtype=np.int64))
     T = random_matrix(rng, 64, 3, F65521)
     assert np.array_equal(mul_lt_by_flat(g, T), mat_mul(A, T, F65521))
     with pytest.raises(ValueError):
-        mul_flat_by_lt(np.zeros((2, 5), dtype=np.int64), g)
-
-
-def test_mul_pluq_by_lt_and_mirror():
-    rng = np.random.default_rng(404)
-    for _ in range(25):
-        n = int(rng.integers(2, 40))
-        B = random_matrix(rng, n, n, F65521)
-        r = int(rng.integers(0, 3))
-        low_rank = mat_mul(random_matrix(rng, n, r, F65521),
-                           random_matrix(rng, r, n, F65521), F65521)
-        d = pluq_rpm(low_rank, F65521)
-        A = random_left_triangular(n, 3, int(rng.integers(0, 2**31)), F65521)
-        g = tree_generator(A, F65521)
-        assert np.array_equal(mul_pluq_by_lt(d, g), mat_mul(low_rank, A, F65521))
-        assert np.array_equal(mul_lt_by_pluq(g, d), mat_mul(A, low_rank, F65521))
-        assert np.array_equal(mul_pluq_by_lt(d, g, middle_reversed=True),
-                              mat_mul(low_rank, reverse_rows(A), F65521))
-        assert np.array_equal(mul_lt_by_pluq(g, d, middle_reversed=True),
-                              mat_mul(A, reverse_rows(low_rank), F65521))
-
-
-def test_mul_pluq_zero_rank():
-    d = pluq_rpm(np.zeros((8, 8), dtype=np.int64), F65521)
-    g = tree_generator(random_left_triangular(8, 2, 1, F65521), F65521)
-    assert not mul_pluq_by_lt(d, g).any()
-    assert not mul_lt_by_pluq(g, d).any()
+        mul_lt_by_flat(g, np.zeros((5, 2), dtype=np.int64))
 
 
 def test_mul_lt_lt_trivial_cases():
@@ -183,14 +154,15 @@ def test_mul_lt_lt_trivial_cases():
 
 def test_mul_lt_lt_oracle_both_modes():
     rng = np.random.default_rng(405)
-    for _ in range(50):
-        n = int(rng.integers(2, 70))
-        A = random_left_triangular(n, 4, int(rng.integers(0, 2**31)), F65521)
-        B = random_left_triangular(n, 4, int(rng.integers(0, 2**31)), F65521)
-        gA, gB = tree_generator(A, F65521), tree_generator(B, F65521)
-        assert np.array_equal(mul_lt_lt(gA, gB), mat_mul(A, B, F65521))
-        assert np.array_equal(mul_lt_lt(gA, gB, middle_reversed=True),
-                              mat_mul(A, reverse_rows(B), F65521))
+    for f, trials in ((F65521, 50), (F2, 10), (F2147483647, 10)):
+        for t in range(trials + 1):
+            n = int(rng.integers(2, 70)) if t < trials else 1
+            A = random_left_triangular(n, 4, int(rng.integers(0, 2**31)), f)
+            B = random_left_triangular(n, 4, int(rng.integers(0, 2**31)), f)
+            gA, gB = tree_generator(A, f), tree_generator(B, f)
+            assert np.array_equal(mul_lt_lt(gA, gB), mat_mul(A, B, f))
+            assert np.array_equal(mul_lt_lt(gA, gB, middle_reversed=True),
+                                  mat_mul(A, reverse_rows(B), f))
 
 
 def test_mul_lt_lt_pow2_sizes():
@@ -255,8 +227,7 @@ def test_mul_qs_qs_oracle_and_order_bound():
 
 
 def test_mul_qs_qs_converts_other_representations():
-    # every pair of kinds; only tree x tree runs the tree recursion, the
-    # others apply A's own representations to the densified B
+    # every pair of kinds applies A's own representations to the densified B
     for f in (F65521, F2147483647):
         for n in (1, 7, 33, 64):
             M = random_qs(n, min(2, n - 1), min(2, n - 1), 11 + n, f)
@@ -270,12 +241,17 @@ def test_mul_qs_qs_converts_other_representations():
                     qb = qs_from_dense(N, kb, f)
                     c = OpCounter()
                     assert np.array_equal(mul_qs_qs(qa, qb, c), want)
+                    cb = OpCounter()
+                    qs_to_dense(qb, cb)
                     if ka == "bruhat":
-                        cb = OpCounter()
-                        qs_to_dense(qb, cb)
                         nnz = sum(g.nnz_lower() + g.nnz_upper()
                                   for g in (qa.lower, qa.upper))
                         assert c.muls <= n * nnz + cb.muls + n * n
+                    if ka == "tree":
+                        cm = OpCounter()
+                        for g in (qa.lower, qa.upper):
+                            matvec_tree(g, np.zeros(n, dtype=np.int64), cm)
+                        assert c.muls <= n * cm.muls + cb.muls + n * n
 
 
 def test_mul_qs_qs_commutes_with_densify():
