@@ -13,8 +13,11 @@ i + j <= n - 2 (0-based), N - n leading zero columns shift the profile by
 N - n columns and trailing zero rows add no pivot, so the left region
 i + j <= N - 2 of W is exactly that of A, moved N - n columns right.
 Every pivot found is one of A's and its segments already have A's
-lengths: nothing is filtered or cropped, and only the column offset
-is taken back.
+lengths: nothing is cropped, and only the column offset is taken back.
+
+The recursion stops at blocks of at most _BASE = 32: each is finished by
+one `pluq_rpm` of its left part, and the fill pivots that PLUQ finds
+outside the block's left region are dropped (see `_left_elimination`).
 """
 
 from __future__ import annotations
@@ -23,10 +26,13 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .field import (OpCounter, PrimeField, mat_mul, next_pow2, rank,
-                    reverse_cols, reverse_rows, strict_lower, strict_upper,
-                    trsm_unit_lower, trsm_upper_right)
+from .field import (OpCounter, PrimeField, left_part, mat_mul, next_pow2,
+                    rank, reverse_cols, reverse_rows, strict_lower,
+                    strict_upper, trsm_unit_lower, trsm_upper_right)
 from .pluq import RankProfileMatrix, pluq_rpm
+
+
+_BASE = 32     # 16..128 perform alike at n = 1000..2048
 
 
 class QsOrders(NamedTuple):
@@ -69,13 +75,30 @@ def _left_elimination(A: np.ndarray, field: PrimeField,
     pivot's segments are complete where it is found: down column j, P L
     then the bottom-left factor E; along row i, U Q then the top-right
     factor D, each cut at the anti-diagonal.
+
+    A node of size b <= _BASE is finished by one PLUQ of its left part.
+    That PLUQ also eliminates fill pivots of the right region
+    (i + j > b - 2), which are dropped.  A right-region pivot only updates
+    entries right of its column in later rows, all in the right region,
+    so the left pivots and the left-region entries of their factors are
+    untouched by it: the pivots are those of the recursion and each
+    segment is cut straight from the factors, P L on rows i .. b-j-2 and
+    U Q on columns j .. b-i-2.
     """
     p = field.p
     found = []
 
     def rec(A: np.ndarray, row0: int, col0: int) -> None:
         n = A.shape[0]
-        if n == 1:
+        if n <= _BASE:
+            d = pluq_rpm(left_part(A), field, counter)
+            PL = d.P.apply_rows(d.L)
+            UQ = d.Q.apply_cols(d.U)
+            for k, (i, j) in enumerate(zip(d.P.img[:d.r].tolist(),
+                                           d.Q.inverse().img[:d.r].tolist())):
+                if i + j <= n - 2:
+                    found.append((row0 + i, col0 + j, PL[i:n - 1 - j, k].copy(),
+                                  UQ[k, j:n - 1 - i].copy()))
             return
         h = n // 2
         d = pluq_rpm(A[:h, :h], field, counter)

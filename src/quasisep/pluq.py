@@ -3,8 +3,10 @@
 The pivoting strategy picks the nonzero entry of the trailing submatrix
 with lexicographically minimal (row, column) and moves it into place with
 cyclic row/column rotations, which preserves the relative order of the
-remaining rows and columns.  A brute-force rank-table oracle double-checks
-the revealed profile in the test suite.
+remaining rows and columns.  The search reads the first row with a
+nonzero (one `any` per row), then that row's first nonzero, and builds
+no index list; the rank-1 Schur update runs in place.  A brute-force
+rank-table oracle double-checks the revealed profile in the test suite.
 """
 
 from __future__ import annotations
@@ -85,12 +87,12 @@ def pluq_rpm(A: np.ndarray, field: PrimeField,
     cp = np.arange(n, dtype=np.int64)
     k = 0
     while k < m and k < n:
-        rows, cols = np.nonzero(W[k:, k:])
-        if rows.size == 0:
+        live = W[k:, k:].any(axis=1)
+        i = int(live.argmax())       # first nonzero row, then its first
+        if not live[i]:              # nonzero column: the lexicographic min
             break
-        # np.nonzero is row-major, so the first hit is the lexicographic min.
-        i = k + int(rows[0])
-        j = k + int(cols[0])
+        i += k
+        j = k + int(W[i, k:].astype(bool).argmax())
         if i > k:
             W[k:i + 1] = np.roll(W[k:i + 1], 1, axis=0)
             rp[k:i + 1] = np.roll(rp[k:i + 1], 1)
@@ -105,8 +107,9 @@ def pluq_rpm(A: np.ndarray, field: PrimeField,
         if k + 1 < m:
             W[k + 1:, k] = (W[k + 1:, k] * inv) % p
             if k + 1 < n:
-                W[k + 1:, k + 1:] = (W[k + 1:, k + 1:]
-                                     - np.outer(W[k + 1:, k], W[k, k + 1:])) % p
+                T = W[k + 1:, k + 1:]    # Schur update in place
+                T -= np.outer(W[k + 1:, k], W[k, k + 1:])
+                T %= p
         k += 1
     r = k
     L = np.tril(W[:, :r], -1)

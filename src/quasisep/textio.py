@@ -4,17 +4,20 @@ Matrix files: a `m n p` header line, then m rows of n base-10 residues
 separated by single spaces, LF endings, no trailing whitespace.
 
 Generator files start with a `BRUHAT n p r`, `COMPACT n p s r t` or
-`TREE n p` header; indices inside are 0-based.  Loaders re-validate the
-structural invariants so corrupted files are rejected or exposed.
+`TREE n p leaf` header; indices inside are 0-based.  Loaders re-validate
+the structural invariants so corrupted files are rejected or exposed.  A
+TREE root has size next_pow2(n); when that exceeds n, the tree must hold
+a left triangular n x n block with zeros around it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import Permutation, PrimeField
+from .field import Permutation, PrimeField, is_left_triangular, next_pow2
 from .generators import (BruhatGenerator, CompactBruhatGenerator,
-                         CompactEchelon, TreeGenerator, TreeLeaf, TreeNode)
+                         CompactEchelon, TreeGenerator, TreeLeaf, TreeNode,
+                         tree_dense)
 from .pluq import PluqDecomposition
 
 
@@ -107,6 +110,16 @@ class _Lines:
         return vals
 
 
+def _header(src: _Lines, form: str) -> list:
+    """The integers of a header line shaped like `form`, e.g. 'TREE n p leaf'."""
+    head, no = src.next()
+    tok = head.split()
+    want = form.split()
+    if len(tok) != len(want) or tok[0] != want[0]:
+        raise ParseError(f"expected '{form}' header", no)
+    return _ints(" ".join(tok[1:]), no)
+
+
 def _check_residues(vals, p: int, line_no: int) -> None:
     for v in vals:
         if not 0 <= v < p:
@@ -128,11 +141,7 @@ def format_bruhat(g: BruhatGenerator) -> str:
 
 def parse_bruhat(text: str) -> BruhatGenerator:
     src = _Lines(text)
-    head, no = src.next()
-    tok = head.split()
-    if len(tok) != 4 or tok[0] != "BRUHAT":
-        raise ParseError("expected 'BRUHAT n p r' header", no)
-    n, p, r = (int(t) for t in tok[1:])
+    n, p, r = _header(src, "BRUHAT n p r")
     field = PrimeField(p)
     pivots, lower, upper = [], [], []
     for _ in range(r):
@@ -232,11 +241,7 @@ def format_compact(cb: CompactBruhatGenerator) -> str:
 
 def parse_compact(text: str) -> CompactBruhatGenerator:
     src = _Lines(text)
-    head, no = src.next()
-    tok = head.split()
-    if len(tok) != 6 or tok[0] != "COMPACT":
-        raise ParseError("expected 'COMPACT n p s r t' header", no)
-    n, p, s, r, t = (int(x) for x in tok[1:])
+    n, p, s, r, t = _header(src, "COMPACT n p s r t")
     field = PrimeField(p)
     lower = _parse_echelon(src, n, s, r, t, field, False)
     upper = _parse_echelon(src, n, s, r, t, field, True)
@@ -283,13 +288,13 @@ def format_tree(g: TreeGenerator) -> str:
 def _parse_tree_node(src: _Lines, field: PrimeField):
     head, no = src.next()
     tok = head.split()
-    if tok[0] == "LEAF" and len(tok) == 2:
-        m = int(tok[1])
+    if tok[:1] == ["LEAF"] and len(tok) == 2:
+        m, = _ints(tok[1], no)
         vals = src.next_ints(m * m)
         _check_residues(vals, field.p, src.pos)
         return TreeLeaf(np.array(vals, dtype=np.int64).reshape(m, m))
-    if tok[0] == "NODE" and len(tok) == 3:
-        h, r = int(tok[1]), int(tok[2])
+    if tok[:1] == ["NODE"] and len(tok) == 3:
+        h, r = _ints(" ".join(tok[1:]), no)
         P = Permutation(np.array(src.next_ints(h), dtype=np.int64))
         Q = Permutation(np.array(src.next_ints(h), dtype=np.int64))
         lv = src.next_ints(h * r)
@@ -307,14 +312,16 @@ def _parse_tree_node(src: _Lines, field: PrimeField):
 
 def parse_tree(text: str) -> TreeGenerator:
     src = _Lines(text)
-    head, no = src.next()
-    tok = head.split()
-    if len(tok) != 4 or tok[0] != "TREE":
-        raise ParseError("expected 'TREE n p leaf' header", no)
-    n, p, leaf_size = int(tok[1]), int(tok[2]), int(tok[3])
+    n, p, leaf_size = _header(src, "TREE n p leaf")
     field = PrimeField(p)
     root = _parse_tree_node(src, field)
     size = root.block.shape[0] if isinstance(root, TreeLeaf) else 2 * root.pluq.m
+    if n < 0 or next_pow2(max(n, 1)) != size:
+        raise ParseError(f"header size {n} does not match the root size {size}", 1)
+    if n < size:                 # padded: a left triangular n x n block, zeros around it
+        W = tree_dense(root, field)
+        if W[n:].any() or W[:, n:].any() or not is_left_triangular(W[:n, :n]):
+            raise ParseError(f"tree is not that of a left triangular {n} x {n} matrix", 1)
     return TreeGenerator(n, size, root, field, leaf_size)
 
 

@@ -9,9 +9,10 @@ from quasisep import (CompressionError, OpCounter, compact_bruhat,
                       qs_orders_bruteforce, qs_to_dense, random_left_triangular,
                       random_matrix, random_qs, reconstruct, rpm_bruteforce,
                       tree_generator)
+from quasisep import orders
 from quasisep.generators import TreeLeaf, TreeNode
 
-from util import F2, F5, F65521, F2147483647
+from util import BASE_SIZES, F2, F5, F65521, F2147483647
 
 # edges of the modulus range at sizes from 1 up to past a power of two
 EDGE_CASES = [(f, n) for f in (F2, F2147483647) for n in (1, 2, 7, 16, 33)]
@@ -91,6 +92,37 @@ def test_bruhat_reconstruction_corpus():
     for f, n in EDGE_CASES:
         A = random_left_triangular(n, max(1, n // 4), n, f)
         assert np.array_equal(reconstruct(lt_bruhat(A, f)), A)
+
+
+@pytest.mark.parametrize("base", [1, 2])
+def test_bruhat_reconstruction_corpus_small_base(base, monkeypatch):
+    # most of the corpus fits in one base block; shrink the blocks so the
+    # Schur recursion cuts the segments at these sizes too
+    monkeypatch.setattr(orders, "_BASE", base)
+    test_bruhat_reconstruction_corpus()
+
+
+@pytest.mark.parametrize("f", [F2, F65521, F2147483647], ids=lambda f: str(f.p))
+def test_bruhat_around_base_blocks(f):
+    rng = np.random.default_rng(f.p % 1000 + 1)
+    for t, n in enumerate(BASE_SIZES):
+        if t % 2:
+            A = random_matrix(rng, n, n, f)
+        else:
+            A = random_left_triangular(n, n // 8, int(rng.integers(0, 2**31)), f)
+        g = lt_bruhat(A, f)
+        g.validate()
+        assert g.pivots == lt_rpm(A, f).pivots
+        assert np.array_equal(reconstruct(g), left_part(A))
+
+
+def test_bruhat_drops_right_region_fill_pivot():
+    A = left_part(mat(F2, [[1, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    g = lt_bruhat(A, F2)
+    assert g.pivots == [(0, 0)]
+    assert [s.tolist() for s in g.lower_segs] == [[1, 1]]
+    assert [s.tolist() for s in g.upper_segs] == [[1, 1]]
+    assert np.array_equal(reconstruct(g), A)
 
 
 def test_bruhat_operates_on_left_part():

@@ -5,9 +5,11 @@ from quasisep import (OpCounter, lt_rpm, mat, qs_order, qs_order_bruteforce,
                       qs_orders_bruteforce, quasiseparable_orders,
                       random_left_triangular, random_matrix, rank,
                       reverse_rows, rpm_bruteforce, strict_lower)
-from quasisep.field import pad_top_left
+from quasisep import orders
+from quasisep.field import left_part, pad_top_left
 
-from util import (F2, F3, F5, F65521, random_invertible_tridiagonal,
+from util import (BASE_SIZES, F2, F3, F5, F65521, F2147483647,
+                  random_invertible_tridiagonal,
                   superdiagonal_above_antidiagonal)
 
 
@@ -42,6 +44,35 @@ def test_lt_rpm_left_triangular_corpus():
         s = int(rng.integers(0, n))
         A = random_left_triangular(n, s, int(rng.integers(0, 2**31)), f)
         assert lt_rpm(A, f).pivots == rpm_bruteforce(A, f).left_part().pivots
+
+
+@pytest.mark.parametrize("base", [1, 2])
+def test_lt_rpm_left_triangular_corpus_small_base(base, monkeypatch):
+    # the corpus fits in one or two base blocks; shrink them so the Schur
+    # recursion runs at these sizes too
+    monkeypatch.setattr(orders, "_BASE", base)
+    test_lt_rpm_left_triangular_corpus()
+
+
+@pytest.mark.parametrize("f", [F2, F65521, F2147483647], ids=lambda f: str(f.p))
+def test_lt_rpm_around_base_blocks(f):
+    # arbitrary and left triangular inputs in turn, so base blocks see both
+    # fill pivots in their right region and Schur-updated left regions
+    rng = np.random.default_rng(f.p % 1000)
+    for t, n in enumerate(BASE_SIZES):
+        if t % 2:
+            A = random_matrix(rng, n, n, f)
+        else:
+            A = random_left_triangular(n, n // 8, int(rng.integers(0, 2**31)), f)
+        assert lt_rpm(A, f).pivots == rpm_bruteforce(A, f).left_part().pivots
+
+
+def test_lt_rpm_drops_right_region_fill_pivot():
+    # the base block's PLUQ of this left part finds a fill pivot at (1, 1),
+    # outside the left region; the left part of the profile is (0, 0) alone
+    A = left_part(mat(F2, [[1, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    assert rpm_bruteforce(A, F2).pivots == [(0, 0), (1, 1)]
+    assert lt_rpm(A, F2).pivots == [(0, 0)]
 
 
 def test_lt_rpm_arbitrary_inputs():

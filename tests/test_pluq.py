@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from quasisep import (RankProfileMatrix, check_pluq_structure, mat, mat_mul,
-                      pluq_rpm, random_matrix, rpm_bruteforce, rpm_from_pluq)
+from quasisep import (PrimeField, RankProfileMatrix, check_pluq_structure, mat,
+                      mat_mul, pluq_rpm, random_matrix, rpm_bruteforce,
+                      rpm_from_pluq)
 
-from util import F2, F3, F5, F65521
+from util import F2, F3, F5, F65521, F2147483647
 
 
 def test_worked_example_rpm():
@@ -122,3 +123,33 @@ def test_rpm_pivot_uniqueness():
         RankProfileMatrix(m, n, R.pivots)
     with pytest.raises(ValueError):
         RankProfileMatrix(3, 3, [(0, 0), (0, 1)])
+
+
+def _pivot_search_cases(p):
+    """Matrices that put the first nonzero where a row-then-column search
+    can go wrong: far down, in the last column, in the corner, nowhere."""
+    rng = np.random.default_rng(p % 1000)
+    far = np.zeros((9, 5), dtype=np.int64)          # first nonzero row far below
+    far[7, 2] = 1
+    far[8] = rng.integers(0, p, 5)
+    last_col = np.zeros((6, 6), dtype=np.int64)     # rows nonzero only at the end
+    last_col[1:, 5] = rng.integers(1, p, 5)
+    last_col[4, 3] = p - 1
+    corner = np.zeros((7, 4), dtype=np.int64)       # only the bottom-right entry
+    corner[6, 3] = p - 1
+    wide = np.zeros((3, 8), dtype=np.int64)         # m < n, pivots late in rows
+    wide[0, 6] = 1
+    wide[2] = rng.integers(0, p, 8)
+    tall = random_matrix(rng, 11, 4, PrimeField(p))  # m > n, zero rows inside
+    tall[3:7] = 0
+    return [far, last_col, corner, wide, tall, np.zeros((4, 6), dtype=np.int64)]
+
+
+@pytest.mark.parametrize("f", [F2, F2147483647], ids=lambda f: str(f.p))
+def test_pivot_search_edge_cases(f):
+    for A in _pivot_search_cases(f.p):
+        A = A % f.p
+        d = pluq_rpm(A, f)
+        assert np.array_equal(d.reconstruct(), A)
+        assert check_pluq_structure(d)
+        assert rpm_from_pluq(d).pivots == rpm_bruteforce(A, f).pivots

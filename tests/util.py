@@ -112,6 +112,9 @@ def structured_corpus(fields, sizes):
             yield f, np.triu(T, 1)[:, ::-1].copy()
 
 
+# sizes around one and two elimination base blocks, and one past them
+BASE_SIZES = (31, 32, 33, 63, 64, 65, 100)
+
 F65521 = PrimeField(65521)
 F2 = PrimeField(2)
 F3 = PrimeField(3)
