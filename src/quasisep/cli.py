@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import verifysuite
-from .field import (OpCounter, PrimeField, pad_top_left, rank, reverse_cols,
-                    reverse_rows, strict_lower, strict_upper)
+from .field import (OpCounter, PrimeField, rank, reverse_cols, reverse_rows,
+                    strict_lower, strict_upper)
 from .generators import (compact_bruhat, lt_bruhat, random_qs, tree_generator)
 from .orders import lt_rpm, qs_order, qs_order_bruteforce
 from .structops import mul_lt_lt
@@ -99,16 +99,9 @@ def cmd_compress(args) -> int:
         g_bruhat = lt_bruhat(A, field)
         s = qs_order(g_bruhat.pivots, n)
         if args.kind == "tree":
-            # the size recurrence applies to the padded matrix and its own
-            # order, which can exceed s when n is not a power of two
             g = tree_generator(A, field)
             stored = g.stored_elements()
-            if g.size == n:
-                s_pad = s
-            else:
-                padded = pad_top_left(A, g.size)
-                s_pad = qs_order(lt_rpm(padded, field).pivots, g.size)
-            bound = _tree_bound(g.size, s_pad)
+            bound = _tree_bound(n, s)
         elif args.kind == "bruhat":
             g = g_bruhat
             stored = g.stored_elements()

@@ -247,23 +247,24 @@ def trsm_upper_right(B: np.ndarray, U: np.ndarray, field: PrimeField,
     return X
 
 
+def region_mask(m: int, n: int, c: int) -> np.ndarray:
+    """Entries (i, j) of an m x n block with i + j <= c (0-based)."""
+    return np.add.outer(np.arange(m), np.arange(n)) <= c
+
+
 def left_part(A: np.ndarray) -> np.ndarray:
     """Keep entries with i + j <= n (1-based), i.e. i + j <= n - 2 0-based."""
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("left_part expects a square matrix")
-    idx = np.arange(n)
-    mask = np.add.outer(idx, idx) <= n - 2
-    return np.where(mask, A, 0)
+    return np.where(region_mask(n, n, n - 2), A, 0)
 
 
 def is_left_triangular(A: np.ndarray) -> bool:
     n = A.shape[0]
     if A.shape != (n, n):
         return False
-    idx = np.arange(n)
-    mask = np.add.outer(idx, idx) <= n - 2
-    return bool((A[~mask] == 0).all())
+    return bool((A[~region_mask(n, n, n - 2)] == 0).all())
 
 
 def reverse_rows(A: np.ndarray) -> np.ndarray:
@@ -306,18 +307,3 @@ def rank(A: np.ndarray, field: PrimeField) -> int:
         r += 1
     return r
 
-
-def next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m *= 2
-    return m
-
-
-def pad_top_left(A: np.ndarray, size: int) -> np.ndarray:
-    m, n = A.shape
-    if (m, n) == (size, size):
-        return A.copy()
-    out = np.zeros((size, size), dtype=np.int64)
-    out[:m, :n] = A
-    return out

@@ -2,8 +2,11 @@
 
 Three representations are built here:
 
-* a binary tree of PLUQ decompositions (recurse on the top-right and
-  bottom-left quadrants, factor the top-left one),
+* a binary tree of PLUQ decompositions, split as the elimination in
+  `orders`: a node is an a x b block with left region i + j <= c (the
+  root is n x n with c = n - 2); it factors its top-left h x h block,
+  h = floor((c + 2) / 2), and recurses on the h x (b - h) top-right and
+  (a - h) x h bottom-left blocks, each with region c - h,
 * the sparse (L, E, U) triple made of the left parts of the permuted
   PLUQ factors, stored as one column/row segment per pivot,
 * its block compression into a block-diagonal D plus sub-diagonal S with
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import (OpCounter, Permutation, PrimeField, is_left_triangular,
-                    left_part, mat_mul, next_pow2, pad_top_left, reverse_cols,
+                    left_part, mat_mul, region_mask, reverse_cols,
                     reverse_rows, strict_lower, strict_upper)
 from .orders import _left_elimination, qs_order
 from .pluq import PluqDecomposition, pluq_rpm
@@ -40,12 +43,12 @@ class CompressionError(RuntimeError):
 
 @dataclass
 class TreeLeaf:
-    block: np.ndarray  # dense left triangular block
+    block: np.ndarray  # dense a x b block, zero outside its left region
 
 
 @dataclass
 class TreeNode:
-    pluq: PluqDecomposition          # of the top-left quadrant
+    pluq: PluqDecomposition          # of the top-left h x h block
     top_right: "TreeNode | TreeLeaf"
     bottom_left: "TreeNode | TreeLeaf"
 
@@ -53,26 +56,30 @@ class TreeNode:
 @dataclass
 class TreeGenerator:
     n: int          # represented size
-    size: int       # power-of-two size of the padded root
     root: "TreeNode | TreeLeaf"
     field: PrimeField
     leaf_size: int
+
+    @property
+    def size(self) -> int:
+        """Size of the root block, which is the represented size."""
+        return self.n
 
     def stored_elements(self) -> int:
         """Field coefficients the representation needs.
 
         A node stores the nontrivial entries of its L and U factors
-        (2*h*r - r**2 for quadrant size h and rank r); a leaf stores the
-        m*(m-1)/2 slots of its left triangular region.
+        (2*h*r - r**2 for block size h and rank r); a leaf stores the
+        slots of its block inside its left region.
         """
-        def walk(node) -> int:
+        def walk(node, c: int) -> int:
             if isinstance(node, TreeLeaf):
-                m = node.block.shape[0]
-                return m * (m - 1) // 2
+                return int(region_mask(*node.block.shape, c).sum())
             h = node.pluq.m
             r = node.pluq.r
-            return 2 * h * r - r * r + walk(node.top_right) + walk(node.bottom_left)
-        return walk(self.root)
+            return (2 * h * r - r * r + walk(node.top_right, c - h)
+                    + walk(node.bottom_left, c - h))
+        return walk(self.root, self.n - 2)
 
 
 def tree_generator(A: np.ndarray, field: PrimeField,
@@ -82,30 +89,33 @@ def tree_generator(A: np.ndarray, field: PrimeField,
     n = A.shape[0]
     if not is_left_triangular(A):
         raise ValueError("tree_generator expects a left triangular matrix")
-    N = next_pow2(max(n, 1))
-    W = pad_top_left(np.asarray(A, dtype=np.int64) % field.p, N)
+    if leaf_size < 1:
+        raise ValueError("leaf_size must be positive")
 
-    def build(B: np.ndarray):
-        m = B.shape[0]
-        if m <= leaf_size:
+    def build(B: np.ndarray, c: int):
+        if max(B.shape) <= leaf_size:
             return TreeLeaf(B.copy())
-        h = m // 2
+        h = (c + 2) // 2
         return TreeNode(pluq_rpm(B[:h, :h], field, counter),
-                        build(B[:h, h:]), build(B[h:, :h]))
+                        build(B[:h, h:], c - h), build(B[h:, :h], c - h))
 
-    return TreeGenerator(n, N, build(W), field, leaf_size)
+    return TreeGenerator(n, build(np.asarray(A, dtype=np.int64) % field.p, n - 2),
+                         field, leaf_size)
 
 
-def tree_dense(node, field: PrimeField,
-               counter: OpCounter | None = None) -> np.ndarray:
-    """Densify a tree node (padded coordinates)."""
-    if isinstance(node, TreeLeaf):
-        return node.block.copy()
-    h = node.pluq.m
-    out = np.zeros((2 * h, 2 * h), dtype=np.int64)
-    out[:h, :h] = node.pluq.reconstruct(counter)
-    out[:h, h:] = tree_dense(node.top_right, field, counter)
-    out[h:, :h] = tree_dense(node.bottom_left, field, counter)
+def tree_dense(g: TreeGenerator, counter: OpCounter | None = None) -> np.ndarray:
+    """Densify a tree generator, each node written into its own block."""
+    def fill(node, W: np.ndarray) -> None:
+        if isinstance(node, TreeLeaf):
+            W[...] = node.block
+            return
+        h = node.pluq.m
+        W[:h, :h] = node.pluq.reconstruct(counter)
+        fill(node.top_right, W[:h, h:])
+        fill(node.bottom_left, W[h:, :h])
+
+    out = np.zeros((g.n, g.n), dtype=np.int64)
+    fill(g.root, out)
     return out
 
 
@@ -183,9 +193,8 @@ def lt_bruhat(A: np.ndarray, field: PrimeField,
               counter: OpCounter | None = None) -> BruhatGenerator:
     """Bruhat generator of the left triangular part of A.
 
-    Shares the elimination of `orders.lt_rpm`, which embeds A right-aligned
-    in a power-of-two size; its left region is A's own, so every pivot it
-    finds and both segments are kept as they come.
+    Shares the elimination of `orders.lt_rpm`, which runs on A's own size:
+    every pivot it finds and both segments are kept as they come.
     """
     n = A.shape[0]
     if A.shape != (n, n):

@@ -6,18 +6,18 @@ list into the order with a single linear sweep.  Both have brute-force
 rank oracles next to them for testing.  `generators.lt_bruhat` runs the
 same elimination and keeps each pivot's segments of the L and U factors.
 
-The elimination needs a power-of-two size N >= n.  A is embedded
-right-aligned in the first n rows, W[:n, N-n:] = A, zeros elsewhere.  The
-left part of a rank profile matrix reads only the entries with
-i + j <= n - 2 (0-based), N - n leading zero columns shift the profile by
-N - n columns and trailing zero rows add no pivot, so the left region
-i + j <= N - 2 of W is exactly that of A, moved N - n columns right.
-Every pivot found is one of A's and its segments already have A's
-lengths: nothing is cropped, and only the column offset is taken back.
+The elimination runs on A's own size.  A node is an a x b block whose
+left region is i + j <= c (local, 0-based); the root is A with
+c = n - 2.  The node eliminates its top-left h x h block,
+h = floor((c + 2) / 2), the largest square that lies wholly inside the
+region, and recurses on the h x (b - h) top-right and (a - h) x h
+bottom-left blocks, each with region c - h.  At a power-of-two n every
+block is square and h is half its size.
 
-The recursion stops at blocks of at most _BASE = 32: each is finished by
-one `pluq_rpm` of its left part, and the fill pivots that PLUQ finds
-outside the block's left region are dropped (see `_left_elimination`).
+The recursion stops at blocks of at most _BASE = 32 rows and columns:
+each is finished by one `pluq_rpm` of its left region, and the fill
+pivots that PLUQ finds outside the region are dropped (see
+`_left_elimination`).
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .field import (OpCounter, PrimeField, left_part, mat_mul, next_pow2,
-                    rank, reverse_cols, reverse_rows, strict_lower,
-                    strict_upper, trsm_unit_lower, trsm_upper_right)
+from .field import (OpCounter, PrimeField, mat_mul, rank, region_mask,
+                    reverse_cols, reverse_rows, strict_lower, strict_upper,
+                    trsm_unit_lower, trsm_upper_right)
 from .pluq import RankProfileMatrix, pluq_rpm
 
 
@@ -67,40 +67,39 @@ def _left_elimination(A: np.ndarray, field: PrimeField,
     the RPM of a square A, sorted by row.
 
     For the pivot at (i, j) the lower segment is column j of the L factor
-    on rows i .. n-j-2 and the upper segment row i of the U factor on
-    columns j .. n-i-2.  Each node eliminates its top-left quadrant by a
-    profile-revealing PLUQ while the top-right and bottom-left quadrants
-    recurse on Schur-complement updates that preserve the profile.  A
-    node's left region is the part of the global one it covers, so a
-    pivot's segments are complete where it is found: down column j, P L
-    then the bottom-left factor E; along row i, U Q then the top-right
-    factor D, each cut at the anti-diagonal.
+    on rows i .. n-j-2 and the upper segment row i of U on columns
+    j .. n-i-2.  Each node (split as in the module docstring) eliminates
+    its top-left block by a profile-revealing PLUQ while the top-right and
+    bottom-left blocks recurse on Schur-complement updates that preserve
+    the profile.  A node's region is the part of the global one it
+    covers, so a pivot's segments are complete where it is found: down
+    column j, P L then the bottom-left factor E; along row i, U Q then the
+    top-right factor D, each cut at the anti-diagonal i + j = c.
 
-    A node of size b <= _BASE is finished by one PLUQ of its left part.
-    That PLUQ also eliminates fill pivots of the right region
-    (i + j > b - 2), which are dropped.  A right-region pivot only updates
-    entries right of its column in later rows, all in the right region,
-    so the left pivots and the left-region entries of their factors are
-    untouched by it: the pivots are those of the recursion and each
-    segment is cut straight from the factors, P L on rows i .. b-j-2 and
-    U Q on columns j .. b-i-2.
+    A node with a, b <= _BASE is finished by one PLUQ of its region.  That
+    PLUQ also eliminates fill pivots outside the region (i + j > c), which
+    are dropped.  Such a pivot only updates entries right of its column in
+    later rows, all outside the region, so the region's pivots and the
+    in-region entries of their factors are untouched by it: the pivots
+    are those of the recursion and each segment is cut straight from the
+    factors, P L on rows i .. c-j and U Q on columns j .. c-i.
     """
     p = field.p
     found = []
 
-    def rec(A: np.ndarray, row0: int, col0: int) -> None:
-        n = A.shape[0]
-        if n <= _BASE:
-            d = pluq_rpm(left_part(A), field, counter)
+    def rec(A: np.ndarray, c: int, row0: int, col0: int) -> None:
+        a, b = A.shape
+        if max(a, b) <= _BASE:
+            d = pluq_rpm(np.where(region_mask(a, b, c), A, 0), field, counter)
             PL = d.P.apply_rows(d.L)
             UQ = d.Q.apply_cols(d.U)
             for k, (i, j) in enumerate(zip(d.P.img[:d.r].tolist(),
                                            d.Q.inverse().img[:d.r].tolist())):
-                if i + j <= n - 2:
-                    found.append((row0 + i, col0 + j, PL[i:n - 1 - j, k].copy(),
-                                  UQ[k, j:n - 1 - i].copy()))
+                if i + j <= c:
+                    found.append((row0 + i, col0 + j, PL[i:c + 1 - j, k].copy(),
+                                  UQ[k, j:c + 1 - i].copy()))
             return
-        h = n // 2
+        h = (c + 2) // 2
         d = pluq_rpm(A[:h, :h], field, counter)
         r1 = d.r
         rp = d.P.img
@@ -124,23 +123,20 @@ def _left_elimination(A: np.ndarray, field: PrimeField,
             UQ = d.Q.apply_cols(d.U)
         for k, (i, j) in enumerate(zip(rp[:r1].tolist(), cp[:r1].tolist())):
             found.append((row0 + i, col0 + j,
-                          np.concatenate([PL[i:, k], E[:h - 1 - j, k]]),
-                          np.concatenate([UQ[k, j:], D[k, :h - 1 - i]])))
+                          np.concatenate([PL[i:, k], E[:c + 1 - h - j, k]]),
+                          np.concatenate([UQ[k, j:], D[k, :c + 1 - h - i]])))
 
-        H = np.zeros((h, h), dtype=np.int64)    # P1 [0; F], by a row scatter
+        H = np.zeros((h, b - h), dtype=np.int64)  # P1 [0; F], by a row scatter
         H[rp[r1:]] = F
-        I = np.zeros((h, h), dtype=np.int64)    # [0 | G] Q1, by a column gather:
-        I[:, r1:] = G                           # numpy scatters columns slower
+        I = np.zeros((a - h, h), dtype=np.int64)  # [0 | G] Q1, by a column gather:
+        I[:, r1:] = G                             # numpy scatters columns slower
         I = d.Q.apply_cols(I)
-        del B, C, D, E, F, G                    # not held across the recursion
-        rec(H, row0, col0 + h)
-        rec(I, row0 + h, col0)
+        del B, C, D, E, F, G                      # not held across the recursion
+        rec(H, c - h, row0, col0 + h)
+        rec(I, c - h, row0 + h, col0)
 
     n = A.shape[0]
-    N = next_pow2(max(n, 1))
-    W = np.zeros((N, N), dtype=np.int64)
-    np.remainder(np.asarray(A, dtype=np.int64), p, out=W[:n, N - n:])
-    rec(W, 0, n - N)
+    rec(np.remainder(np.asarray(A, dtype=np.int64), p), n - 2, 0, 0)
     found.sort(key=lambda piv: piv[0])
     return found
 
@@ -149,9 +145,10 @@ def lt_rpm(A: np.ndarray, field: PrimeField,
            counter: OpCounter | None = None) -> RankProfileMatrix:
     """Left triangular part of the rank profile matrix of a square A.
 
-    Runs the elimination on A embedded right-aligned in a power-of-two
-    size (see the module docstring): its pivots, column offset taken
-    back, are exactly the pivots of A with i + j <= n - 2 (0-based).
+    The pivots are those of A with i + j <= n - 2 (0-based).  An input
+    that is not left triangular may count up to about 9x more
+    multiplications at n < 64, because each base PLUQ also eliminates the
+    fill pivots outside the region before they are dropped.
     """
     n = A.shape[0]
     if A.shape != (n, n):

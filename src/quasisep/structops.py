@@ -27,7 +27,7 @@ def reconstruct(g, counter: OpCounter | None = None) -> np.ndarray:
     if isinstance(g, CompactBruhatGenerator):
         g = compact_to_bruhat(g)
     if isinstance(g, TreeGenerator):
-        return tree_dense(g.root, g.field, counter)[:g.n, :g.n]
+        return tree_dense(g, counter)
     if isinstance(g, BruhatGenerator):
         return bruhat_reconstruct(g, counter)
     raise TypeError(f"no reconstruction for {type(g).__name__}")
@@ -136,7 +136,7 @@ def matvec_qs(M: QsMatrix, x: np.ndarray,
 
 def _times_tall(node, F: np.ndarray, field: PrimeField,
                 counter: OpCounter | None) -> np.ndarray:
-    """A @ F for a node of the tree (F is m x k)."""
+    """A @ F for an a x b node of the tree (F is b x k)."""
     if isinstance(node, TreeLeaf):
         return mat_mul(node.block, F, field, counter)
     d = node.pluq
@@ -158,10 +158,7 @@ def mul_lt_by_flat(g: TreeGenerator, F: np.ndarray,
     """reconstruct(g) @ F for a tall F."""
     if F.shape[0] != g.n:
         raise ValueError("dimension mismatch in mul_lt_by_flat")
-    F = np.asarray(F, dtype=np.int64)
-    if g.size != g.n:
-        F = np.pad(F, [(0, g.size - g.n), (0, 0)])
-    return _times_tall(g.root, F, g.field, counter)[:g.n]
+    return _times_tall(g.root, np.asarray(F, dtype=np.int64), g.field, counter)
 
 
 def mul_lt_lt(gA: TreeGenerator, gB: TreeGenerator,

@@ -6,18 +6,21 @@ separated by single spaces, LF endings, no trailing whitespace.
 Generator files start with a `BRUHAT n p r`, `COMPACT n p s r t` or
 `TREE n p leaf` header; indices inside are 0-based.  Loaders re-validate
 the structural invariants so corrupted files are rejected or exposed.  A
-TREE root has size next_pow2(n); when that exceeds n, the tree must hold
-a left triangular n x n block with zeros around it.
+TREE file is read top-down from its n x n root with left region
+i + j <= n - 2: a `NODE h r` line factors the node's top-left h x h
+block, which must lie inside the node and its region, and its children
+are the h x (b - h) top-right and (a - h) x h bottom-left blocks of the
+a x b node, each with region c - h.  A `LEAF m` line gives the leaf's
+row count, which must be the one its parent implies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import Permutation, PrimeField, is_left_triangular, next_pow2
+from .field import Permutation, PrimeField, region_mask
 from .generators import (BruhatGenerator, CompactBruhatGenerator,
-                         CompactEchelon, TreeGenerator, TreeLeaf, TreeNode,
-                         tree_dense)
+                         CompactEchelon, TreeGenerator, TreeLeaf, TreeNode)
 from .pluq import PluqDecomposition
 
 
@@ -120,6 +123,14 @@ def _header(src: _Lines, form: str) -> list:
     return _ints(" ".join(tok[1:]), no)
 
 
+def _permutation(src: _Lines, n: int) -> Permutation:
+    img = src.next_ints(n)
+    try:
+        return Permutation(np.array(img, dtype=np.int64))
+    except ValueError as e:
+        raise ParseError(str(e), src.pos) from None
+
+
 def _check_residues(vals, p: int, line_no: int) -> None:
     for v in vals:
         if not 0 <= v < p:
@@ -179,8 +190,7 @@ def _format_echelon(c: CompactEchelon, out: list) -> None:
 
 def _parse_echelon(src: _Lines, n: int, s: int, r: int, t: int,
                    field: PrimeField, transposed: bool) -> CompactEchelon:
-    img = src.next_ints(n)
-    perm = Permutation(np.array(img, dtype=np.int64))
+    perm = _permutation(src, n)
     block_rows = src.next_ints(t if t else None)
     if t == 0 and block_rows:
         raise ParseError("unexpected block rows for an empty generator", src.pos)
@@ -204,7 +214,7 @@ def _parse_echelon(src: _Lines, n: int, s: int, r: int, t: int,
         sub_blocks.append(np.array(vals, dtype=np.int64).reshape(block_rows[b], s))
     src_map = np.array(src.next_ints(r), dtype=np.int64)
     moves = _moves_from_src(src_map)
-    ech_cols = np.array(img[:r], dtype=np.int64)
+    ech_cols = perm.img[:r].copy()
     return CompactEchelon(n, s, r, t, field, transposed, ech_cols, perm,
                           block_rows, diag_blocks, sub_blocks, moves, src_map)
 
@@ -245,8 +255,7 @@ def parse_compact(text: str) -> CompactBruhatGenerator:
     field = PrimeField(p)
     lower = _parse_echelon(src, n, s, r, t, field, False)
     upper = _parse_echelon(src, n, s, r, t, field, True)
-    rimg = src.next_ints(r)
-    R = Permutation(np.array(rimg, dtype=np.int64))
+    R = _permutation(src, r)
     # Pivot (row, col) pairs follow from the two echelon orders and R:
     # the p-th column-ordered pivot has row upper.ech_cols[p] and sits at
     # row-order position R.img[p], whose column is lower.ech_cols there.
@@ -285,18 +294,29 @@ def format_tree(g: TreeGenerator) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_tree_node(src: _Lines, field: PrimeField):
+def _parse_tree_node(src: _Lines, field: PrimeField, a: int, b: int, c: int):
+    """The a x b node with left region i + j <= c."""
     head, no = src.next()
     tok = head.split()
     if tok[:1] == ["LEAF"] and len(tok) == 2:
         m, = _ints(tok[1], no)
-        vals = src.next_ints(m * m)
+        if m != a:
+            raise ParseError(f"leaf has {m} rows, its parent implies {a}", no)
+        vals = src.next_ints(a * b)
         _check_residues(vals, field.p, src.pos)
-        return TreeLeaf(np.array(vals, dtype=np.int64).reshape(m, m))
+        block = np.array(vals, dtype=np.int64).reshape(a, b)
+        if block[~region_mask(a, b, c)].any():
+            raise ParseError("leaf entry outside its left region", src.pos)
+        return TreeLeaf(block)
     if tok[:1] == ["NODE"] and len(tok) == 3:
         h, r = _ints(" ".join(tok[1:]), no)
-        P = Permutation(np.array(src.next_ints(h), dtype=np.int64))
-        Q = Permutation(np.array(src.next_ints(h), dtype=np.int64))
+        if not 1 <= h <= min(a, b) or 2 * h - 2 > c:
+            raise ParseError(f"{h} x {h} block does not fit the {a} x {b} "
+                             f"node inside i + j <= {c}", no)
+        if not 0 <= r <= h:
+            raise ParseError(f"rank {r} of a {h} x {h} block", no)
+        P = _permutation(src, h)
+        Q = _permutation(src, h)
         lv = src.next_ints(h * r)
         _check_residues(lv, field.p, src.pos)
         uv = src.next_ints(r * h)
@@ -304,8 +324,8 @@ def _parse_tree_node(src: _Lines, field: PrimeField):
         L = np.array(lv, dtype=np.int64).reshape(h, r)
         U = np.array(uv, dtype=np.int64).reshape(r, h)
         d = PluqDecomposition(P, L, U, Q, r, field)
-        top_right = _parse_tree_node(src, field)
-        bottom_left = _parse_tree_node(src, field)
+        top_right = _parse_tree_node(src, field, h, b - h, c - h)
+        bottom_left = _parse_tree_node(src, field, a - h, h, c - h)
         return TreeNode(d, top_right, bottom_left)
     raise ParseError("expected 'LEAF m' or 'NODE h r'", no)
 
@@ -314,15 +334,10 @@ def parse_tree(text: str) -> TreeGenerator:
     src = _Lines(text)
     n, p, leaf_size = _header(src, "TREE n p leaf")
     field = PrimeField(p)
-    root = _parse_tree_node(src, field)
-    size = root.block.shape[0] if isinstance(root, TreeLeaf) else 2 * root.pluq.m
-    if n < 0 or next_pow2(max(n, 1)) != size:
-        raise ParseError(f"header size {n} does not match the root size {size}", 1)
-    if n < size:                 # padded: a left triangular n x n block, zeros around it
-        W = tree_dense(root, field)
-        if W[n:].any() or W[:, n:].any() or not is_left_triangular(W[:n, :n]):
-            raise ParseError(f"tree is not that of a left triangular {n} x {n} matrix", 1)
-    return TreeGenerator(n, size, root, field, leaf_size)
+    if n < 0:
+        raise ParseError(f"negative size {n}", 1)
+    return TreeGenerator(n, _parse_tree_node(src, field, n, n, n - 2),
+                         field, leaf_size)
 
 
 # ---------------------------------------------------------------------------

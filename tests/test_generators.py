@@ -38,9 +38,33 @@ def test_tree_two_by_two_node():
     assert np.array_equal(reconstruct(g), A)
 
 
+def _shape(node):
+    if isinstance(node, TreeLeaf):
+        return node.block.shape
+    h = node.pluq.m
+    return h + _shape(node.bottom_left)[0], h + _shape(node.top_right)[1]
+
+
+def test_tree_five_by_five_splits_at_two():
+    # region i + j <= 3: the largest square inside it is 2 x 2, so the
+    # children are the 2 x 3 top-right and 3 x 2 bottom-left blocks
+    A = random_left_triangular(5, 2, 11, F65521)
+    g = tree_generator(A, F65521, leaf_size=1)
+    assert (g.root.pluq.m, g.root.pluq.n) == (2, 2)
+    assert _shape(g.root.top_right) == (2, 3)
+    assert _shape(g.root.bottom_left) == (3, 2)
+    assert _shape(g.root) == (5, 5)
+    assert np.array_equal(reconstruct(g), A)
+
+
 def test_tree_rejects_non_left_triangular():
     with pytest.raises(ValueError):
         tree_generator(np.ones((3, 3), dtype=np.int64), F5)
+
+
+def test_tree_rejects_nonpositive_leaf_size():
+    with pytest.raises(ValueError):
+        tree_generator(np.zeros((3, 3), dtype=np.int64), F5, leaf_size=0)
 
 
 def test_tree_reconstruct_random():
@@ -55,11 +79,16 @@ def test_tree_reconstruct_random():
 
 
 def test_tree_storage_bound():
-    # order-5 instance at n=128 against the recurrence solution
-    A = random_left_triangular(128, 5, 9, F65521)
-    s = qs_order_bruteforce(A, F65521)
-    g = tree_generator(A, F65521)
-    assert g.stored_elements() <= s * 128 * (int(np.ceil(np.log2(128 / s))) + 1)
+    # order-s instances against the recurrence solution, first at n=128,
+    # then at sizes that are not powers of two
+    cases = [(128, 5, 9)] + [(n, s, 7) for n in (3, 5, 33, 100, 257, 300)
+                             for s in (1, 2, 4, 8)]
+    for n, s0, seed in cases:
+        A = random_left_triangular(n, s0, seed, F65521)
+        s = qs_order_bruteforce(A, F65521) if n <= 64 \
+            else qs_order(lt_rpm(A, F65521).pivots, n)
+        g = tree_generator(A, F65521)
+        assert g.stored_elements() <= s * n * (int(np.ceil(np.log2(n / s))) + 1), (n, s)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +198,8 @@ def test_bruhat_size_and_disjoint_support():
 
 def test_bruhat_factors_match_direct_pluq():
     # the assembled factors equal Left(P[L|0]Q) / Left(P[U;0]Q) of a
-    # profile-revealing PLUQ of the matrix itself (pow2 sizes: no padding)
+    # profile-revealing PLUQ of the matrix itself (power-of-two sizes, where
+    # every node of the elimination is square)
     from quasisep import pluq_rpm
     rng = np.random.default_rng(311)
     for _ in range(25):

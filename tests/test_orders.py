@@ -6,7 +6,7 @@ from quasisep import (OpCounter, lt_rpm, mat, qs_order, qs_order_bruteforce,
                       random_left_triangular, random_matrix, rank,
                       reverse_rows, rpm_bruteforce, strict_lower)
 from quasisep import orders
-from quasisep.field import left_part, pad_top_left
+from quasisep.field import left_part
 
 from util import (BASE_SIZES, F2, F3, F5, F65521, F2147483647,
                   random_invertible_tridiagonal,
@@ -104,7 +104,7 @@ def test_padding_keeps_left_region_pivots():
                                    int(rng.integers(0, 2**31)), F65521)
         pivots = lt_rpm(A, F65521).pivots
         N = int(rng.integers(n, 40))
-        padded = pad_top_left(A, N)
+        padded = np.pad(A, (0, N - n))
         padded_pivots = lt_rpm(padded, F65521).pivots
         assert set(pivots) <= set(padded_pivots)
         assert [piv for piv in padded_pivots if piv[0] + piv[1] <= n - 2] == pivots
@@ -112,8 +112,8 @@ def test_padding_keeps_left_region_pivots():
 
 
 def test_non_power_of_two_costs_no_more_than_next_power():
-    # n = 96 runs on a size-128 recursion whose left region is that of A,
-    # so it may not cost more multiplications than an instance at n = 128
+    # n = 96 runs on its own size, so it may not cost more multiplications
+    # than an instance at n = 128
     muls = []
     for n in (96, 128):
         c = OpCounter()

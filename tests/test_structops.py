@@ -166,7 +166,7 @@ def test_mul_lt_lt_oracle_both_modes():
 
 
 def test_mul_lt_lt_pow2_sizes():
-    # n = 64 exercises the pure quadrant recursion with no padding
+    # n = 64: every node of the tree is square
     A = random_left_triangular(64, 4, 20, F65521)
     B = random_left_triangular(64, 4, 21, F65521)
     gA, gB = tree_generator(A, F65521), tree_generator(B, F65521)

@@ -19,14 +19,17 @@ def test_tree_header_must_match_root_size():
     A, text = _tree_text(8)
     assert text.startswith("TREE 8 65521 4\n")
     assert np.array_equal(reconstruct(parse_tree(text)), A)
-    for n in ("20", "16", "4", "0", "-8"):      # next_pow2(n) is not 8
+    # the root NODE 4 is the 4 x 4 block of an 8 x 8 tree: read as n x n its
+    # block leaves the region or the node (n = 4, 0), its leaves no longer
+    # have the shapes the root implies (n = 20, 16), or n is negative
+    for n in ("20", "16", "4", "0", "-8"):
         with pytest.raises(ParseError):
             parse_tree(text.replace("TREE 8", f"TREE {n}", 1))
 
 
 def test_tree_header_cannot_crop_the_matrix():
-    # TREE 5 and TREE 7 name the right root size, but the 8 x 8 matrix has
-    # entries outside a left triangular 5 x 5 or 7 x 7 leading block
+    # the root's 4 x 4 block lies outside the left region i + j <= n - 2
+    # of a 5 x 5 or 7 x 7 matrix
     _, text = _tree_text(8)
     for n in (5, 7):
         with pytest.raises(ParseError):
@@ -34,7 +37,7 @@ def test_tree_header_cannot_crop_the_matrix():
 
 
 def test_padded_tree_roundtrip():
-    for n in (2, 5, 7, 33):
+    for n in (2, 3, 5, 7, 33, 100, 257, 300):
         A, text = _tree_text(n)
         assert np.array_equal(reconstruct(parse_tree(text)), A)
 
@@ -58,3 +61,69 @@ def test_tree_node_lines_raise_parse_error():
     for bad in ("NODE x 1", "", "LEAF y"):
         with pytest.raises(ParseError):
             parse_tree("\n".join([lines[0], bad] + lines[2:]) + "\n")
+
+
+# Hand-written TREE texts over F_5 with leaf size 1; a zero node has
+# identity permutations and rank 0.
+
+def _node(h):
+    ids = " ".join(str(k) for k in range(h))
+    return [f"NODE {h} 0", ids, ids, "", ""]
+
+
+def _leaf(a, b, vals=None):
+    return [f"LEAF {a}", " ".join(str(v) for v in (vals or [0] * (a * b)))]
+
+
+def _tree(n, *parts):
+    return "\n".join([f"TREE {n} 5 1"] + [line for part in parts for line in part]) + "\n"
+
+
+def test_tree_node_rank_above_its_block_size():
+    text = _tree(2, ["NODE 1 2", "0", "0", "1 1", "1 1"], _leaf(1, 1), _leaf(1, 1))
+    with pytest.raises(ParseError):
+        parse_tree(text)
+
+
+def test_tree_node_block_outside_its_region():
+    # the 2 x 2 top-right child of a 4 x 4 root has region i + j <= 0
+    text = _tree(4, _node(2), _node(2), _leaf(1, 1), _leaf(1, 1), _leaf(2, 2))
+    with pytest.raises(ParseError):
+        parse_tree(text)
+
+
+def test_tree_node_block_larger_than_its_node():
+    # 16 x 16 root split at 8; its 8 x 8 top-right child split at 1 leaves
+    # a 1 x 7 child with region i + j <= 5, which a 2 x 2 block cannot fit
+    text = _tree(16, _node(8), _node(1), _node(2), _leaf(1, 1), _leaf(1, 1),
+                 _leaf(1, 1), _leaf(1, 1))
+    with pytest.raises(ParseError):
+        parse_tree(text)
+
+
+def test_tree_leaf_row_count_negative_or_wrong():
+    for text in (_tree(4, _node(2), _leaf(1, 1), _leaf(2, 2)),
+                 _tree(2, ["LEAF -1", "0"])):
+        with pytest.raises(ParseError):
+            parse_tree(text)
+
+
+def test_tree_leaf_entry_outside_its_region():
+    text = _tree(4, _node(2), _leaf(2, 2, [0, 1, 0, 0]), _leaf(2, 2))
+    with pytest.raises(ParseError):
+        parse_tree(text)
+
+
+def test_tree_permutation_lines_raise_parse_error():
+    for bad in (["NODE 1 0", "1", "0", "", ""], ["NODE 1 0", "0", "3", "", ""]):
+        with pytest.raises(ParseError):
+            parse_tree(_tree(2, bad, _leaf(1, 1), _leaf(1, 1)))
+
+
+def test_compact_permutation_lines_raise_parse_error():
+    g = lt_bruhat(random_left_triangular(8, 2, 3, F65521), F65521)
+    lines = format_compact(compact_bruhat(g, 2)).splitlines()
+    perm = lines[1].split()
+    lines[1] = " ".join([perm[1]] + perm[1:])      # a repeated image
+    with pytest.raises(ParseError):
+        parse_generator("\n".join(lines) + "\n")
