@@ -222,37 +222,55 @@ def bruhat_reconstruct(g: BruhatGenerator, counter: OpCounter | None = None) -> 
 # compact Bruhat generator
 
 
+def block_widths(r: int, s: int) -> list:
+    """Widths of the block columns that cut r echelon columns s at a time:
+    s each, the last one ragged."""
+    return [min(s, r - c) for c in range(0, r, s)] if r else []
+
+
 @dataclass
 class CompactEchelon:
     """Block compression (D, S, T, perm) of one echelon side.
 
     `transposed` marks the upper side, whose data is stored for U^T so the
-    same column-based layout serves both factors.  `moves` records the
-    column relocations in application order; `src_map[a]` names the column
-    whose overflow was parked at echelon column a (or a itself).
+    same column-based layout serves both factors.  `src_map` is the record
+    of the column relocations T: `src_map[a]` names the echelon column
+    whose overflow was parked at echelon column a (or a itself), always
+    one block column to the left of a.  `moves` is derived from it.
     """
 
     n: int
     s: int
-    r: int
-    t: int
     field: PrimeField
     transposed: bool
-    ech_cols: np.ndarray          # original column of echelon column q
     perm: Permutation             # full n-permutation, echelon columns first
     block_rows: list              # k_i, i = 1..t
     diag_blocks: list             # D_i, k_i x w_i (w_t may be ragged)
     sub_blocks: list              # S_i, k_i x s, i = 2..t
-    moves: list                   # ordered (target, source) pairs
     src_map: np.ndarray
 
     @property
+    def r(self) -> int:
+        return len(self.src_map)
+
+    @property
+    def t(self) -> int:
+        return len(self.block_rows)
+
+    @property
+    def ech_cols(self) -> np.ndarray:
+        """Original column of echelon column q."""
+        return self.perm.img[:self.r]
+
+    @property
+    def moves(self) -> list:
+        """(target, source) relocations in ascending target order, the order
+        the compression parks them in."""
+        return [(a, j) for a, j in enumerate(self.src_map.tolist()) if a != j]
+
+    @property
     def widths(self) -> list:
-        if self.t == 0:
-            return []
-        w = [self.s] * self.t
-        w[-1] = self.r - (self.t - 1) * self.s
-        return w
+        return block_widths(self.r, self.s)
 
     def stored_elements(self) -> int:
         return int(sum(b.size for b in self.diag_blocks)
@@ -293,8 +311,8 @@ def _compress_columns(n: int, field: PrimeField, leads: list, cols: list,
     rest = np.setdiff1d(np.arange(n, dtype=np.int64), ech_cols)
     perm = Permutation(np.concatenate([ech_cols, rest]))
     if r == 0:
-        return CompactEchelon(n, s, 0, 0, field, transposed, ech_cols, perm,
-                              [], [], [], [], np.array([], dtype=np.int64))
+        return CompactEchelon(n, s, field, transposed, perm, [], [], [],
+                              np.array([], dtype=np.int64))
     if s <= 0:
         raise ValueError("block width must be positive when pivots exist")
 
@@ -304,11 +322,10 @@ def _compress_columns(n: int, field: PrimeField, leads: list, cols: list,
         C[leads[k]:leads[k] + len(seg), q] = seg
     lead_sorted = [leads[k] for k in order]
 
-    t = -(-r // s)
+    widths = block_widths(r, s)
+    t = len(widths)
     starts = [0] + [lead_sorted[b * s] for b in range(1, t)] + [n]
     block_rows = [starts[b + 1] - starts[b] for b in range(t)]
-    widths = [s] * t
-    widths[-1] = r - (t - 1) * s
 
     diag_blocks = []
     for b in range(t):
@@ -317,7 +334,6 @@ def _compress_columns(n: int, field: PrimeField, leads: list, cols: list,
         diag_blocks.append(blk)
         C[starts[b]:starts[b + 1], cj:cj + widths[b]] = 0
 
-    moves = []
     src_map = np.arange(r, dtype=np.int64)
     for b in range(3, t + 1):          # 1-based block index, as in the loop i=3..t
         lo = starts[b - 1]
@@ -334,7 +350,6 @@ def _compress_columns(n: int, field: PrimeField, leads: list, cols: list,
             k = free[0]
             C[lo:, k] = C[lo:, j]
             C[lo:, j] = 0
-            moves.append((k, j))
             src_map[k] = j
 
     sub_blocks = []
@@ -345,8 +360,8 @@ def _compress_columns(n: int, field: PrimeField, leads: list, cols: list,
     if C.any():
         raise CompressionError("content left outside the sub-diagonal blocks")
 
-    return CompactEchelon(n, s, r, t, field, transposed, ech_cols, perm,
-                          block_rows, diag_blocks, sub_blocks, moves, src_map)
+    return CompactEchelon(n, s, field, transposed, perm, block_rows,
+                          diag_blocks, sub_blocks, src_map)
 
 
 def compress_echelon(g: BruhatGenerator, s: int) -> CompactEchelon:

@@ -5,13 +5,16 @@ separated by single spaces, LF endings, no trailing whitespace.
 
 Generator files start with a `BRUHAT n p r`, `COMPACT n p s r t` or
 `TREE n p leaf` header; indices inside are 0-based.  Loaders re-validate
-the structural invariants so corrupted files are rejected or exposed.  A
-TREE file is read top-down from its n x n root with left region
-i + j <= n - 2: a `NODE h r` line factors the node's top-left h x h
-block, which must lie inside the node and its region, and its children
-are the h x (b - h) top-right and (a - h) x h bottom-left blocks of the
-a x b node, each with region c - h.  A `LEAF m` line gives the leaf's
-row count, which must be the one its parent implies.
+the structural invariants so corrupted files are rejected or exposed, and
+reject any line after the structure.  A TREE file is read top-down from
+its n x n root with left region i + j <= n - 2: a `NODE h r` line factors
+the node's top-left h x h block, which must lie inside the node and its
+region, into a unit lower triangular L and an upper triangular U with a
+nonzero diagonal, and its children are the h x (b - h) top-right and
+(a - h) x h bottom-left blocks of the a x b node, each with region c - h.
+A `LEAF m` line gives the leaf's row count, which must be the one its
+parent implies.  A COMPACT relocation map parks each moved column one
+block column to the right of its source, and no source twice.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from .field import Permutation, PrimeField, region_mask
 from .generators import (BruhatGenerator, CompactBruhatGenerator,
-                         CompactEchelon, TreeGenerator, TreeLeaf, TreeNode)
+                         CompactEchelon, TreeGenerator, TreeLeaf, TreeNode,
+                         block_widths)
 from .pluq import PluqDecomposition
 
 
@@ -112,6 +116,10 @@ class _Lines:
             raise ParseError(f"expected {expect} integers, found {len(vals)}", no)
         return vals
 
+    def end(self) -> None:
+        if self.pos < len(self.lines):
+            raise ParseError("content after the end of the structure", self.pos + 1)
+
 
 def _header(src: _Lines, form: str) -> list:
     """The integers of a header line shaped like `form`, e.g. 'TREE n p leaf'."""
@@ -153,6 +161,8 @@ def format_bruhat(g: BruhatGenerator) -> str:
 def parse_bruhat(text: str) -> BruhatGenerator:
     src = _Lines(text)
     n, p, r = _header(src, "BRUHAT n p r")
+    if n < 0 or r < 0:
+        raise ParseError(f"negative size {n} or rank {r}", 1)
     field = PrimeField(p)
     pivots, lower, upper = [], [], []
     for _ in range(r):
@@ -167,6 +177,7 @@ def parse_bruhat(text: str) -> BruhatGenerator:
         pivots.append((i, j))
         lower.append(np.array(lo, dtype=np.int64))
         upper.append(np.array(up, dtype=np.int64))
+    src.end()
     order = sorted(range(r), key=lambda k: pivots[k])
     g = BruhatGenerator(n, field, [pivots[k] for k in order],
                         [lower[k] for k in order], [upper[k] for k in order])
@@ -196,9 +207,7 @@ def _parse_echelon(src: _Lines, n: int, s: int, r: int, t: int,
         raise ParseError("unexpected block rows for an empty generator", src.pos)
     if t and sum(block_rows) != n:
         raise ParseError("block rows must sum to n", src.pos)
-    widths = [s] * t
-    if t:
-        widths[-1] = r - (t - 1) * s
+    widths = block_widths(r, s)
     diag_blocks = []
     for b in range(t):
         k_b, w_b = block_rows[b], widths[b]
@@ -213,32 +222,14 @@ def _parse_echelon(src: _Lines, n: int, s: int, r: int, t: int,
         _check_residues(vals, field.p, src.pos)
         sub_blocks.append(np.array(vals, dtype=np.int64).reshape(block_rows[b], s))
     src_map = np.array(src.next_ints(r), dtype=np.int64)
-    moves = _moves_from_src(src_map)
-    ech_cols = perm.img[:r].copy()
-    return CompactEchelon(n, s, r, t, field, transposed, ech_cols, perm,
-                          block_rows, diag_blocks, sub_blocks, moves, src_map)
-
-
-def _moves_from_src(src_map: np.ndarray) -> list:
-    """Rebuild a valid application order from the chain structure.
-
-    Each parked column has one source; chains are independent, so sorting
-    targets by chain depth reproduces an order equivalent to the original.
-    """
-    r = len(src_map)
-    targets = [a for a in range(r) if src_map[a] != a]
-    target_set = set(targets)
-    depth = {}
-
-    def chain_depth(a: int) -> int:
-        if a in depth:
-            return depth[a]
-        s = int(src_map[a])
-        d = chain_depth(s) + 1 if s in target_set else 1
-        depth[a] = d
-        return d
-
-    return [(a, int(src_map[a])) for a in sorted(targets, key=chain_depth)]
+    moved = np.flatnonzero(src_map != np.arange(r))
+    if ((src_map < 0) | (src_map >= r)).any() \
+            or (src_map[moved] // s != moved // s - 1).any() \
+            or len(np.unique(src_map[moved])) < len(moved):
+        raise ParseError("a column relocation is out of range, not from the "
+                         "block column to its left, or repeated", src.pos)
+    return CompactEchelon(n, s, field, transposed, perm, block_rows,
+                          diag_blocks, sub_blocks, src_map)
 
 
 def format_compact(cb: CompactBruhatGenerator) -> str:
@@ -252,10 +243,14 @@ def format_compact(cb: CompactBruhatGenerator) -> str:
 def parse_compact(text: str) -> CompactBruhatGenerator:
     src = _Lines(text)
     n, p, s, r, t = _header(src, "COMPACT n p s r t")
+    if not 0 <= r <= n or (r and s < 1) or t != len(block_widths(r, s)):
+        raise ParseError(f"{t} block columns of width {s} cannot hold {r} "
+                         f"of {n} columns", 1)
     field = PrimeField(p)
     lower = _parse_echelon(src, n, s, r, t, field, False)
     upper = _parse_echelon(src, n, s, r, t, field, True)
     R = _permutation(src, r)
+    src.end()
     # Pivot (row, col) pairs follow from the two echelon orders and R:
     # the p-th column-ordered pivot has row upper.ech_cols[p] and sits at
     # row-order position R.img[p], whose column is lower.ech_cols there.
@@ -323,6 +318,10 @@ def _parse_tree_node(src: _Lines, field: PrimeField, a: int, b: int, c: int):
         _check_residues(uv, field.p, src.pos)
         L = np.array(lv, dtype=np.int64).reshape(h, r)
         U = np.array(uv, dtype=np.int64).reshape(r, h)
+        if np.triu(L, 1).any() or (L.diagonal() != 1).any() \
+                or np.tril(U, -1).any() or not U.diagonal().all():
+            raise ParseError("node factors are not unit lower and nonsingular "
+                             "upper triangular", src.pos)
         d = PluqDecomposition(P, L, U, Q, r, field)
         top_right = _parse_tree_node(src, field, h, b - h, c - h)
         bottom_left = _parse_tree_node(src, field, a - h, h, c - h)
@@ -336,8 +335,9 @@ def parse_tree(text: str) -> TreeGenerator:
     field = PrimeField(p)
     if n < 0:
         raise ParseError(f"negative size {n}", 1)
-    return TreeGenerator(n, _parse_tree_node(src, field, n, n, n - 2),
-                         field, leaf_size)
+    root = _parse_tree_node(src, field, n, n, n - 2)
+    src.end()
+    return TreeGenerator(n, root, field, leaf_size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Named property checks behind the `verify` CLI command.
 
-Each check re-runs one invariant from the library's contract on `trials`
-random instances.  `run` returns (name, passed, detail) triples; trials=0
-passes vacuously.
+Each check draws one random instance from `rng` and returns whether one
+invariant from the library's contract holds on it; `trial` is the 0-based
+trial index.  `run` repeats every check `trials` times on a generator
+seeded from the seed and the check's name, stops a check at its first
+failure or exception and returns (name, passed, detail) triples; the
+detail of a failure names the trial, the seed and the command that
+replays it.  trials=0 passes vacuously.
 """
 
 from __future__ import annotations
@@ -25,100 +29,73 @@ from .textio import format_generator, parse_generator
 FIELD = PrimeField(65521)
 
 
-def _check_left_projection_products(rng, trials):
+def _seed(rng) -> int:
+    return int(rng.integers(0, 2**31))
+
+
+def _low_order(rng, n: int) -> np.ndarray:
+    """Random left triangular n x n matrix of order below max(2, n // 3)."""
+    return random_left_triangular(n, int(rng.integers(1, max(2, n // 3))), _seed(rng), FIELD)
+
+
+def _check_left_projection_products(rng, trial):
     f = FIELD
-    for _ in range(trials):
-        m = int(rng.integers(1, 10))
-        n = int(rng.integers(1, 10))
-        B = random_matrix(rng, n, n, f)
-        U = np.triu(random_matrix(rng, n, n, f))
-        U[np.arange(n), np.arange(n)] = rng.integers(1, f.p, n)
-        BU = mat_mul(B, U, f)
-        if not np.array_equal(left_part(BU), left_part(mat_mul(left_part(B), U, f))):
-            return False
-        L = np.tril(random_matrix(rng, m, m, f))
-        C = random_matrix(rng, m, m, f)
-        if not np.array_equal(left_part(mat_mul(L, C, f)),
-                              left_part(mat_mul(L, left_part(C), f))):
-            return False
-    return True
+    m = int(rng.integers(1, 10))
+    n = int(rng.integers(1, 10))
+    B = random_matrix(rng, n, n, f)
+    U = np.triu(random_matrix(rng, n, n, f))
+    U[np.arange(n), np.arange(n)] = rng.integers(1, f.p, n)
+    BU = mat_mul(B, U, f)
+    if not np.array_equal(left_part(BU), left_part(mat_mul(left_part(B), U, f))):
+        return False
+    L = np.tril(random_matrix(rng, m, m, f))
+    C = random_matrix(rng, m, m, f)
+    return np.array_equal(left_part(mat_mul(L, C, f)),
+                          left_part(mat_mul(L, left_part(C), f)))
 
 
-def _check_pluq_reconstruct(rng, trials):
-    for _ in range(trials):
-        m = int(rng.integers(1, 16))
-        n = int(rng.integers(1, 16))
-        A = random_matrix(rng, m, n, FIELD)
-        if not np.array_equal(pluq_rpm(A, FIELD).reconstruct(), A):
-            return False
-    return True
+def _check_pluq_reconstruct(rng, trial):
+    A = random_matrix(rng, int(rng.integers(1, 16)), int(rng.integers(1, 16)), FIELD)
+    return np.array_equal(pluq_rpm(A, FIELD).reconstruct(), A)
 
 
-def _check_pluq_rpm(rng, trials):
-    for _ in range(trials):
-        m = int(rng.integers(1, 12))
-        n = int(rng.integers(1, 12))
-        A = random_matrix(rng, m, n, PrimeField(3))
-        d = pluq_rpm(A, PrimeField(3))
-        if rpm_from_pluq(d).pivots != rpm_bruteforce(A, PrimeField(3)).pivots:
-            return False
-    return True
+def _check_pluq_rpm(rng, trial):
+    f3 = PrimeField(3)
+    A = random_matrix(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)), f3)
+    return rpm_from_pluq(pluq_rpm(A, f3)).pivots == rpm_bruteforce(A, f3).pivots
 
 
-def _check_pluq_structure(rng, trials):
-    for _ in range(trials):
-        m = int(rng.integers(1, 14))
-        n = int(rng.integers(1, 14))
-        A = random_matrix(rng, m, n, FIELD)
-        if not check_pluq_structure(pluq_rpm(A, FIELD)):
-            return False
-    return True
+def _check_pluq_structure(rng, trial):
+    A = random_matrix(rng, int(rng.integers(1, 14)), int(rng.integers(1, 14)), FIELD)
+    return check_pluq_structure(pluq_rpm(A, FIELD))
 
 
-def _check_lt_rpm(rng, trials):
-    for _ in range(trials):
-        n = int(rng.integers(1, 24))
-        A = random_left_triangular(n, int(rng.integers(0, n)),
-                                   int(rng.integers(0, 2**31)), FIELD)
-        got = lt_rpm(A, FIELD).pivots
-        want = rpm_bruteforce(A, FIELD).left_part().pivots
-        if got != want:
-            return False
-    return True
+def _check_lt_rpm(rng, trial):
+    n = int(rng.integers(1, 24))
+    A = random_left_triangular(n, int(rng.integers(0, n)), _seed(rng), FIELD)
+    return lt_rpm(A, FIELD).pivots == rpm_bruteforce(A, FIELD).left_part().pivots
 
 
-def _check_qs_order(rng, trials):
-    for _ in range(trials):
-        n = int(rng.integers(2, 24))
-        A = random_left_triangular(n, int(rng.integers(0, n)),
-                                   int(rng.integers(0, 2**31)), FIELD)
-        if qs_order(lt_rpm(A, FIELD).pivots, n) != qs_order_bruteforce(A, FIELD):
-            return False
-    return True
+def _check_qs_order(rng, trial):
+    n = int(rng.integers(2, 24))
+    A = random_left_triangular(n, int(rng.integers(0, n)), _seed(rng), FIELD)
+    return qs_order(lt_rpm(A, FIELD).pivots, n) == qs_order_bruteforce(A, FIELD)
 
 
-def _check_orders_full(rng, trials):
-    for _ in range(trials):
-        n = int(rng.integers(2, 20))
-        M = random_qs(n, int(rng.integers(0, n)), int(rng.integers(0, n)),
-                      int(rng.integers(0, 2**31)), FIELD)
-        if quasiseparable_orders(M, FIELD) != qs_orders_bruteforce(M, FIELD):
-            return False
-    return True
+def _check_orders_full(rng, trial):
+    n = int(rng.integers(2, 20))
+    M = random_qs(n, int(rng.integers(0, n)), int(rng.integers(0, n)), _seed(rng), FIELD)
+    return quasiseparable_orders(M, FIELD) == qs_orders_bruteforce(M, FIELD)
 
 
-def _check_bruhat(rng, trials):
-    for _ in range(trials):
-        n = int(rng.integers(2, 40))
-        s = int(rng.integers(1, max(2, n // 3)))
-        A = random_left_triangular(n, s, int(rng.integers(0, 2**31)), FIELD)
-        g = lt_bruhat(A, FIELD)
-        if not np.array_equal(reconstruct(g), A):
-            return False
-        order = qs_order_bruteforce(A, FIELD)
-        if g.nnz_lower() > order * (n - order) or g.nnz_upper() > order * (n - order):
-            return False
-    return True
+def _check_bruhat(rng, trial):
+    n = int(rng.integers(2, 40))
+    A = _low_order(rng, n)
+    g = lt_bruhat(A, FIELD)
+    order = qs_order_bruteforce(A, FIELD)
+    bound = order * (n - order)
+    return (np.array_equal(reconstruct(g), A)
+            and g.nnz_lower() <= bound and g.nnz_upper() <= bound)
 
 
 def _banded_left_triangular(n, s0, band, seed):
@@ -135,112 +112,73 @@ def _banded_left_triangular(n, s0, band, seed):
     return A % p
 
 
-def _check_compact(rng, trials):
-    for trial in range(trials):
-        n = int(rng.integers(2, 40))
-        if trial % 2 and n >= 16:
-            A = _banded_left_triangular(n, 2, 2, int(rng.integers(0, 2**31)))
-        else:
-            s = int(rng.integers(1, max(2, n // 3)))
-            A = random_left_triangular(n, s, int(rng.integers(0, 2**31)), FIELD)
-        g = lt_bruhat(A, FIELD)
-        order = max(qs_order(g.pivots, n), 0)
-        cb = compact_bruhat(g, order)
-        if not np.array_equal(reconstruct(cb), A):
-            return False
-        widths = cb.lower.widths
-        for b, k in enumerate(cb.lower.block_rows):
-            if k < widths[b]:
-                return False
-    return True
+def _check_compact(rng, trial):
+    n = int(rng.integers(2, 40))
+    if trial % 2 and n >= 16:
+        A = _banded_left_triangular(n, 2, 2, _seed(rng))
+    else:
+        A = _low_order(rng, n)
+    g = lt_bruhat(A, FIELD)
+    cb = compact_bruhat(g, max(qs_order(g.pivots, n), 0))
+    return (np.array_equal(reconstruct(cb), A)
+            and all(k >= w for k, w in zip(cb.lower.block_rows, cb.lower.widths)))
 
 
-def _check_tree(rng, trials):
-    for _ in range(trials):
-        n = int(rng.integers(2, 40))
-        s = int(rng.integers(1, max(2, n // 3)))
-        A = random_left_triangular(n, s, int(rng.integers(0, 2**31)), FIELD)
-        g = tree_generator(A, FIELD)
-        if not np.array_equal(reconstruct(g), A):
-            return False
-    return True
+def _check_tree(rng, trial):
+    A = _low_order(rng, int(rng.integers(2, 40)))
+    return np.array_equal(reconstruct(tree_generator(A, FIELD)), A)
 
 
-def _check_serialization(rng, trials):
-    for _ in range(trials):
-        n = int(rng.integers(2, 24))
-        s = int(rng.integers(1, max(2, n // 3)))
-        A = random_left_triangular(n, s, int(rng.integers(0, 2**31)), FIELD)
-        g = lt_bruhat(A, FIELD)
-        for rep in (g, compact_bruhat(g, max(qs_order(g.pivots, n), 0)),
-                    tree_generator(A, FIELD)):
-            back = parse_generator(format_generator(rep))
-            if not np.array_equal(reconstruct(back), A):
-                return False
-    return True
+def _check_serialization(rng, trial):
+    n = int(rng.integers(2, 24))
+    A = _low_order(rng, n)
+    g = lt_bruhat(A, FIELD)
+    return all(np.array_equal(reconstruct(parse_generator(format_generator(rep))), A)
+               for rep in (g, compact_bruhat(g, max(qs_order(g.pivots, n), 0)),
+                           tree_generator(A, FIELD)))
 
 
-def _check_matvec(rng, trials):
-    for _ in range(trials):
-        n = int(rng.integers(2, 32))
-        M = random_qs(n, int(rng.integers(0, n)), int(rng.integers(0, n)),
-                      int(rng.integers(0, 2**31)), FIELD)
-        x = rng.integers(0, FIELD.p, n, dtype=np.int64)
-        want = mat_vec(M, x, FIELD)
-        for kind in ("tree", "bruhat", "compact"):
-            qs = qs_from_dense(M, kind, FIELD)
-            if not np.array_equal(matvec_qs(qs, x), want):
-                return False
-    return True
+def _check_matvec(rng, trial):
+    n = int(rng.integers(2, 32))
+    M = random_qs(n, int(rng.integers(0, n)), int(rng.integers(0, n)), _seed(rng), FIELD)
+    x = rng.integers(0, FIELD.p, n, dtype=np.int64)
+    want = mat_vec(M, x, FIELD)
+    return all(np.array_equal(matvec_qs(qs_from_dense(M, kind, FIELD), x), want)
+               for kind in ("tree", "bruhat", "compact"))
 
 
-def _check_matvec_cost(rng, trials):
-    for _ in range(trials):
-        n = int(rng.integers(2, 32))
-        s = int(rng.integers(1, max(2, n // 3)))
-        A = random_left_triangular(n, s, int(rng.integers(0, 2**31)), FIELD)
-        g = lt_bruhat(A, FIELD)
-        x = rng.integers(0, FIELD.p, n, dtype=np.int64)
-        counter = OpCounter()
-        got = matvec_bruhat(g, x, counter)
-        if not np.array_equal(got, mat_vec(A, x, FIELD)):
-            return False
-        if counter.muls > g.nnz_lower() + g.nnz_upper():
-            return False
-    return True
+def _check_matvec_cost(rng, trial):
+    n = int(rng.integers(2, 32))
+    A = _low_order(rng, n)
+    g = lt_bruhat(A, FIELD)
+    x = rng.integers(0, FIELD.p, n, dtype=np.int64)
+    counter = OpCounter()
+    got = matvec_bruhat(g, x, counter)
+    return (np.array_equal(got, mat_vec(A, x, FIELD))
+            and counter.muls <= g.nnz_lower() + g.nnz_upper())
 
 
-def _check_mul_lt(rng, trials):
-    for _ in range(trials):
-        n = int(rng.integers(2, 33))
-        sa = int(rng.integers(1, 4))
-        sb = int(rng.integers(1, 4))
-        A = random_left_triangular(n, sa, int(rng.integers(0, 2**31)), FIELD)
-        B = random_left_triangular(n, sb, int(rng.integers(0, 2**31)), FIELD)
-        gA = tree_generator(A, FIELD)
-        gB = tree_generator(B, FIELD)
-        if not np.array_equal(mul_lt_lt(gA, gB), mat_mul(A, B, FIELD)):
-            return False
-        want = mat_mul(A, reverse_rows(B), FIELD)
-        if not np.array_equal(mul_lt_lt(gA, gB, middle_reversed=True), want):
-            return False
-    return True
+def _check_mul_lt(rng, trial):
+    n = int(rng.integers(2, 33))
+    sa = int(rng.integers(1, 4))
+    sb = int(rng.integers(1, 4))
+    A = random_left_triangular(n, sa, _seed(rng), FIELD)
+    B = random_left_triangular(n, sb, _seed(rng), FIELD)
+    gA = tree_generator(A, FIELD)
+    gB = tree_generator(B, FIELD)
+    return (np.array_equal(mul_lt_lt(gA, gB), mat_mul(A, B, FIELD))
+            and np.array_equal(mul_lt_lt(gA, gB, middle_reversed=True),
+                               mat_mul(A, reverse_rows(B), FIELD)))
 
 
-def _check_mul_qs(rng, trials):
-    for _ in range(trials):
-        n = int(rng.integers(2, 28))
-        MA = random_qs(n, int(rng.integers(0, min(n, 4))), int(rng.integers(0, min(n, 4))),
-                       int(rng.integers(0, 2**31)), FIELD)
-        MB = random_qs(n, int(rng.integers(0, min(n, 4))), int(rng.integers(0, min(n, 4))),
-                       int(rng.integers(0, 2**31)), FIELD)
-        qa = qs_from_dense(MA, "tree", FIELD)
-        qb = qs_from_dense(MB, "tree", FIELD)
-        if not np.array_equal(mul_qs_qs(qa, qb), mat_mul(MA, MB, FIELD)):
-            return False
-        if not np.array_equal(qs_to_dense(qa), MA):
-            return False
-    return True
+def _check_mul_qs(rng, trial):
+    n = int(rng.integers(2, 28))
+    MA, MB = (random_qs(n, int(rng.integers(0, min(n, 4))), int(rng.integers(0, min(n, 4))),
+                        _seed(rng), FIELD) for _ in range(2))
+    qa = qs_from_dense(MA, "tree", FIELD)
+    qb = qs_from_dense(MB, "tree", FIELD)
+    return (np.array_equal(mul_qs_qs(qa, qb), mat_mul(MA, MB, FIELD))
+            and np.array_equal(qs_to_dense(qa), MA))
 
 
 _CHECKS = [
@@ -268,11 +206,15 @@ def run(scope: str, seed: int, trials: int) -> list:
         if scope != "all" and group != scope:
             continue
         rng = np.random.default_rng((seed, zlib.crc32(name.encode())))
-        try:
-            ok = bool(fn(rng, trials))
-            detail = ""
-        except Exception as exc:          # noqa: BLE001 - report, don't crash
-            ok = False
-            detail = f"{type(exc).__name__}: {exc}"
+        ok, detail = True, ""
+        for k in range(trials):
+            try:
+                ok = bool(fn(rng, k))
+            except Exception as exc:      # noqa: BLE001 - report, don't crash
+                ok, detail = False, f"{type(exc).__name__}: {exc}; "
+            if not ok:
+                detail += (f"trial {k}, seed {seed}; replay: quasisep verify "
+                           f"{group} --seed {seed} --trials {k + 1}")
+                break
         results.append((name, ok, detail))
     return results

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasisep import qs_orders_bruteforce, reconstruct
+from quasisep import qs_orders_bruteforce, reconstruct, verifysuite
 from quasisep.cli import BENCH_HEADER
 from quasisep.textio import read_generator, read_matrix
 
@@ -209,6 +209,35 @@ def test_verify_scope_subset():
     proc = run_cli("verify", "pluq", "--trials", "4")
     assert proc.returncode == 0
     assert "orders." not in proc.stdout
+
+
+def test_verify_failure_names_its_replay(monkeypatch):
+    draws = []
+
+    def fails_at_trial_2(rng, trial):
+        draws.append(int(rng.integers(0, 2**31)))
+        return trial != 2
+
+    def raises_at_trial_1(rng, trial):
+        if trial == 1:
+            raise ValueError("boom")
+        return True
+
+    monkeypatch.setattr(verifysuite, "_CHECKS", [
+        ("ops.fake", "ops", fails_at_trial_2),
+        ("pluq.fake", "pluq", raises_at_trial_1)])
+    assert verifysuite.run("ops", 7, 2) == [("ops.fake", True, "")]
+    replayed = list(draws)
+    draws.clear()
+    assert verifysuite.run("all", 7, 6) == [
+        ("ops.fake", False,
+         "trial 2, seed 7; replay: quasisep verify ops --seed 7 --trials 3"),
+        ("pluq.fake", False,
+         "ValueError: boom; trial 1, seed 7; replay: quasisep verify pluq "
+         "--seed 7 --trials 2")]
+    # the run stops at the failure, and the replay drew the same instances
+    assert len(draws) == 3 and draws[:2] == replayed
+    assert not verifysuite.run("ops", 7, 3)[0][1]
 
 
 def test_bench_header_and_empty_grid(tmp_path):

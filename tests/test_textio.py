@@ -127,3 +127,69 @@ def test_compact_permutation_lines_raise_parse_error():
     lines[1] = " ".join([perm[1]] + perm[1:])      # a repeated image
     with pytest.raises(ParseError):
         parse_generator("\n".join(lines) + "\n")
+
+
+def _compact_lines():
+    # s = 4, r = 36, t = 9: the lower side's src_map is line 2 t + 2
+    from util import high_rank_left_triangular
+    A = high_rank_left_triangular(40, 2, 2, 3, F65521)
+    text = format_compact(compact_bruhat(lt_bruhat(A, F65521), 4))
+    assert text.startswith("COMPACT 40 65521 4 36 9\n")
+    assert np.array_equal(reconstruct(parse_generator(text)), A)
+    return text.splitlines()
+
+
+def test_compact_relocation_map_is_checked():
+    lines = _compact_lines()
+    src_map = lines[20].split()
+    assert src_map[4:6] == ["0", "1"]          # columns 4, 5 parked from 0, 1
+    # out of range (a wrong matrix or an IndexError before), not from the
+    # block column to the left, and one source moved twice
+    for k, v in ((0, "35"), (0, "-3"), (0, "41"), (5, "0")):
+        bad = list(src_map)
+        bad[k] = v
+        text = "\n".join(lines[:20] + [" ".join(bad)] + lines[21:]) + "\n"
+        with pytest.raises(ParseError):
+            parse_generator(text)
+
+
+def test_compact_header_block_count_must_fit_rank():
+    lines = _compact_lines()
+    for head in ("COMPACT 40 65521 0 36 9", "COMPACT 40 65521 4 41 9",
+                 "COMPACT 40 65521 5 36 9"):
+        with pytest.raises(ParseError):
+            parse_generator("\n".join([head] + lines[1:]) + "\n")
+
+
+def test_generator_texts_reject_trailing_content():
+    A = random_left_triangular(8, 2, 3, F65521)
+    g = lt_bruhat(A, F65521)
+    for text in (format_tree(tree_generator(A, F65521)), format_bruhat(g),
+                 format_compact(compact_bruhat(g, 2))):
+        assert np.array_equal(reconstruct(parse_generator(text)), A)
+        with pytest.raises(ParseError):
+            parse_generator(text + "JUNK\n")
+
+
+def test_bruhat_header_negative_size_or_rank():
+    for head in ("BRUHAT -5 65521 0", "BRUHAT 5 65521 -1"):
+        with pytest.raises(ParseError):
+            parse_generator(head + "\n")
+
+
+def test_tree_node_factors_must_have_pluq_form():
+    _, text = _tree_text(8)
+    lines = text.splitlines()
+    h, r = (int(v) for v in lines[1].split()[1:])
+    assert (h, r) == (4, 2)
+    L = [int(v) for v in lines[4].split()]     # h x r, row-major
+    U = [int(v) for v in lines[5].split()]     # r x h
+    assert L[0] == 1 and U[0] != 0
+    # L[0, 0] not 1, L[0, 1] above the diagonal, U[1, 0] below it, U[0, 0] zero
+    for row, k, v in ((4, 0, 7), (4, 1, 1), (5, h, 1), (5, 0, 0)):
+        bad = L if row == 4 else U
+        bad = bad[:k] + [v] + bad[k + 1:]
+        edited = list(lines)
+        edited[row] = " ".join(str(x) for x in bad)
+        with pytest.raises(ParseError):
+            parse_tree("\n".join(edited) + "\n")
