@@ -10,7 +10,9 @@ Three representations are built here:
 * the sparse (L, E, U) triple made of the left parts of the permuted
   PLUQ factors, stored as one column/row segment per pivot,
 * its block compression into a block-diagonal D plus sub-diagonal S with
-  a column-relocation map T and an echelon permutation.
+  a column-relocation map T and an echelon permutation, packed from the
+  segments and unpacked into them one echelon column at a time, so
+  neither direction forms an n x r matrix.
 
 `random_qs` fabricates quasiseparable test instances and `qs_from_dense`
 splits a full matrix into diagonal plus two represented triangles.
@@ -237,6 +239,10 @@ class CompactEchelon:
     of the column relocations T: `src_map[a]` names the echelon column
     whose overflow was parked at echelon column a (or a itself), always
     one block column to the left of a.  `moves` is derived from it.
+
+    Echelon column q of block column b reads D_b, then (unless q holds a
+    parked overflow) S_(b+1), then the S_(b+2), S_(b+3), ... columns its
+    overflow was parked at in turn; the rest of its segment is zero.
     """
 
     n: int
@@ -276,106 +282,100 @@ class CompactEchelon:
         return int(sum(b.size for b in self.diag_blocks)
                    + sum(b.size for b in self.sub_blocks))
 
-    def dense_cr(self) -> np.ndarray:
-        """D + S T as an n x r matrix in echelon column order."""
-        C = np.zeros((self.n, self.r), dtype=np.int64)
-        starts = np.cumsum([0] + self.block_rows)
-        col = 0
-        for b, blk in enumerate(self.diag_blocks):
-            C[starts[b]:starts[b + 1], col:col + blk.shape[1]] = blk
-            col += blk.shape[1]
-        S = np.zeros((self.n, self.r), dtype=np.int64)
-        for b, blk in enumerate(self.sub_blocks, start=1):
-            cj = (b - 1) * self.s
-            S[starts[b]:starts[b + 1], cj:cj + blk.shape[1]] = blk
-        for target, source in reversed(self.moves):
-            S[:, source] = (S[:, source] + S[:, target]) % self.field.p
-            S[:, target] = 0
-        return (C + S) % self.field.p
+
+def _column_reader(c: CompactEchelon):
+    """column(q, top): echelon column q of D + S T on rows top .. n-2-ech_cols[q],
+    read block by block in the order `CompactEchelon` gives."""
+    s, starts = c.s, np.cumsum([0] + c.block_rows).tolist()
+    ech, src_map = c.ech_cols.tolist(), c.src_map.tolist()
+    dst = {j: a for a, j in c.moves}       # inverse of the relocations
+
+    def column(q: int, top: int) -> np.ndarray:
+        end = c.n - 1 - ech[q]
+        col = np.zeros(max(end - top, 0), dtype=np.int64)
+        b = q // s
+        blk, k = c.diag_blocks[b], q - b * s
+        x = q if src_map[q] == q else -1   # a relocation target holds nothing of its own past D
+        while True:
+            a, e = max(starts[b], top), min(starts[b + 1], end)
+            if a < e:
+                col[a - top:e - top] = blk[a - starts[b]:e - starts[b], k]
+            b += 1
+            if x < 0 or b == c.t or starts[b] >= end:
+                return col
+            blk, k, x = c.sub_blocks[b - 1], x - (b - 1) * s, dst.get(x, -1)
+
+    return column
 
 
 def decompress_echelon(c: CompactEchelon) -> np.ndarray:
     """Exact inverse of the compression: the dense L (or U) factor."""
-    C = c.dense_cr()
     out = np.zeros((c.n, c.n), dtype=np.int64)
-    out[:, c.ech_cols] = C
-    return out.T.copy() if c.transposed else out
+    cols = out.T if c.transposed else out    # the columns of U^T are U's rows
+    column = _column_reader(c)
+    for q, j in enumerate(c.ech_cols.tolist()):
+        cols[:c.n - 1 - j, j] = column(q, 0)
+    return out
 
 
-def _compress_columns(n: int, field: PrimeField, leads: list, cols: list,
-                      segs: list, s: int, transposed: bool) -> CompactEchelon:
-    """Shared worker: columns (lead row, original col, segment) sorted by lead."""
-    r = len(leads)
-    order = np.argsort(np.array(leads, dtype=np.int64)) if r else np.array([], dtype=np.int64)
-    ech_cols = np.array([cols[k] for k in order], dtype=np.int64)
-    rest = np.setdiff1d(np.arange(n, dtype=np.int64), ech_cols)
-    perm = Permutation(np.concatenate([ech_cols, rest]))
-    if r == 0:
-        return CompactEchelon(n, s, field, transposed, perm, [], [], [],
-                              np.array([], dtype=np.int64))
-    if s <= 0:
+def _compress_columns(g: BruhatGenerator, s: int, transposed: bool) -> CompactEchelon:
+    """Pack the columns of L (or of U^T) in lead order straight from g's segments."""
+    n, r = g.n, g.rank
+    pairs = [(j, i) for i, j in g.pivots] if transposed else g.pivots
+    order = sorted(range(r), key=lambda k: pairs[k][0])
+    lead = [pairs[k][0] for k in order]
+    seg = [(g.upper_segs if transposed else g.lower_segs)[k] for k in order]
+    ech_cols = np.array([pairs[k][1] for k in order], dtype=np.int64)
+    perm = Permutation(np.concatenate(
+        [ech_cols, np.setdiff1d(np.arange(n, dtype=np.int64), ech_cols)]))
+    if r and s <= 0:
         raise ValueError("block width must be positive when pivots exist")
-
-    C = np.zeros((n, r), dtype=np.int64)
-    for q, k in enumerate(order):
-        seg = segs[k]
-        C[leads[k]:leads[k] + len(seg), q] = seg
-    lead_sorted = [leads[k] for k in order]
-
     widths = block_widths(r, s)
     t = len(widths)
-    starts = [0] + [lead_sorted[b * s] for b in range(1, t)] + [n]
-    block_rows = [starts[b + 1] - starts[b] for b in range(t)]
+    starts = [0] + [lead[b * s] for b in range(1, t)] + [n]
 
-    diag_blocks = []
-    for b in range(t):
-        cj = b * s
-        blk = C[starts[b]:starts[b + 1], cj:cj + widths[b]].copy()
-        diag_blocks.append(blk)
-        C[starts[b]:starts[b + 1], cj:cj + widths[b]] = 0
-
+    # A relocation only asks of a column the last row where it still holds
+    # a nonzero and whose segment it carries past that point.
+    carries = list(range(r))
+    last = [lead[q] + int(np.flatnonzero(seg[q]).max(initial=-1))
+            for q in range(max(t - 1, 0) * s)]   # all but the last block column
     src_map = np.arange(r, dtype=np.int64)
-    for b in range(3, t + 1):          # 1-based block index, as in the loop i=3..t
-        lo = starts[b - 1]
-        src_cols = range((b - 3) * s, (b - 3) * s + widths[b - 3])
-        tgt_cols = range((b - 2) * s, (b - 2) * s + s)
-        for j in src_cols:
-            if not C[lo:, j].any():
+    for b in range(2, t):     # block column b-2 overflows past starts[b] into b-1
+        free = [k for k in range((b - 1) * s, b * s) if last[k] < starts[b]]
+        for j in range((b - 2) * s, (b - 1) * s):
+            if last[j] < starts[b]:
                 continue
-            free = [k for k in tgt_cols if not C[lo:, k].any()]
             if not free:
                 raise CompressionError(
-                    f"no zero column in block column {b - 1}; "
+                    f"no zero column in block column {b}; "
                     f"is s={s} really an order bound?")
-            k = free[0]
-            C[lo:, k] = C[lo:, j]
-            C[lo:, j] = 0
-            src_map[k] = j
+            k = free.pop(0)
+            carries[k], last[k], src_map[k] = carries[j], last[j], j
 
-    sub_blocks = []
-    for b in range(1, t):
-        cj = (b - 1) * s
-        sub_blocks.append(C[starts[b]:starts[b + 1], cj:cj + s].copy())
-        C[starts[b]:starts[b + 1], cj:cj + s] = 0
-    if C.any():
-        raise CompressionError("content left outside the sub-diagonal blocks")
+    def window(b: int, owners) -> np.ndarray:
+        """Rows starts[b] .. starts[b+1] of the segments `owners`, one per column."""
+        lo, hi = starts[b], starts[b + 1]
+        blk = np.zeros((hi - lo, len(owners)), dtype=np.int64)
+        for c, q in enumerate(owners):
+            a, e = max(lo, lead[q]), min(hi, lead[q] + len(seg[q]))
+            if a < e:
+                blk[a - lo:e - lo, c] = seg[q][a - lead[q]:e - lead[q]]
+        return blk
 
-    return CompactEchelon(n, s, field, transposed, perm, block_rows,
-                          diag_blocks, sub_blocks, src_map)
+    return CompactEchelon(
+        n, s, g.field, transposed, perm, [starts[b + 1] - starts[b] for b in range(t)],
+        [window(b, range(b * s, b * s + widths[b])) for b in range(t)],
+        [window(b, carries[(b - 1) * s:b * s]) for b in range(1, t)], src_map)
 
 
 def compress_echelon(g: BruhatGenerator, s: int) -> CompactEchelon:
     """Compress the lower factor of a Bruhat generator with block width s."""
-    leads = [i for i, _ in g.pivots]
-    cols = [j for _, j in g.pivots]
-    return _compress_columns(g.n, g.field, leads, cols, g.lower_segs, s, False)
+    return _compress_columns(g, s, False)
 
 
 def compress_echelon_upper(g: BruhatGenerator, s: int) -> CompactEchelon:
     """Same compression run on U^T; the result is flagged transposed."""
-    leads = [j for _, j in g.pivots]
-    cols = [i for i, _ in g.pivots]
-    return _compress_columns(g.n, g.field, leads, cols, g.upper_segs, s, True)
+    return _compress_columns(g, s, True)
 
 
 @dataclass
@@ -407,19 +407,18 @@ def compact_bruhat(g: BruhatGenerator, s: int) -> CompactBruhatGenerator:
 
 
 def compact_to_bruhat(cb: CompactBruhatGenerator) -> BruhatGenerator:
-    """Re-extract per-pivot segments from the two decompressed n x r sides;
-    the one decoder of the compact format.
+    """Re-extract the per-pivot segments, each read column by column from
+    the D and S blocks of its side; the one decoder of the compact format.
 
     Densifying the result applies Left() to L E^T U; the plain product
     (D_L + S_L T_L) R (D_U + T_U S_U) needs that projection too (erratum).
     """
-    n = cb.n
-    CL, CU = cb.lower.dense_cr(), cb.upper.dense_cr()
+    col_l, col_u = _column_reader(cb.lower), _column_reader(cb.upper)
     at_l = {j: q for q, j in enumerate(cb.lower.ech_cols.tolist())}  # column j of L
     at_u = {i: q for q, i in enumerate(cb.upper.ech_cols.tolist())}  # row i of U
-    lower = [CL[i:n - j - 1, at_l[j]].copy() for i, j in cb.pivots]
-    upper = [CU[j:n - i - 1, at_u[i]].copy() for i, j in cb.pivots]
-    return BruhatGenerator(n, cb.field, list(cb.pivots), lower, upper)
+    lower = [col_l(at_l[j], i) for i, j in cb.pivots]
+    upper = [col_u(at_u[i], j) for i, j in cb.pivots]
+    return BruhatGenerator(cb.n, cb.field, list(cb.pivots), lower, upper)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Text formats for matrices and generators.
 
 Matrix files: a `m n p` header line, then m rows of n base-10 residues
-separated by single spaces, LF endings, no trailing whitespace.
+separated by single spaces, LF endings, no trailing whitespace and no line
+after the rows.  Every loader rejects a header modulus that is not a prime
+in [2, 2**31).
 
 Generator files start with a `BRUHAT n p r`, `COMPACT n p s r t` or
 `TREE n p leaf` header; indices inside are 0-based.  Loaders re-validate
@@ -46,32 +48,17 @@ def format_matrix(A: np.ndarray, field: PrimeField) -> str:
 
 
 def parse_matrix(text: str):
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty matrix file", 1)
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError("header must be 'm n p'", 1)
-    try:
-        m, n, p = (int(x) for x in head)
-    except ValueError:
-        raise ParseError("non-integer header", 1) from None
-    field = PrimeField(p)
-    if len(lines) < 1 + m:
-        raise ParseError(f"expected {m} rows, found {len(lines) - 1}", len(lines))
+    src = _Lines(text)
+    m, n, p = src.next_ints(3)
+    if m < 0 or n < 0:
+        raise ParseError(f"negative shape {m} x {n}", 1)
+    field = _field(p)
     A = np.zeros((m, n), dtype=np.int64)
     for i in range(m):
-        parts = lines[1 + i].split()
-        if len(parts) != n:
-            raise ParseError(f"expected {n} entries, found {len(parts)}", 2 + i)
-        for j, tok in enumerate(parts):
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(f"bad residue {tok!r}", 2 + i) from None
-            if not 0 <= v < p:
-                raise ParseError(f"residue {v} out of range [0, {p})", 2 + i)
-            A[i, j] = v
+        row = src.next_ints(n)
+        _check_residues(row, p, src.pos)
+        A[i] = row
+    src.end()
     return A, field
 
 
@@ -139,6 +126,14 @@ def _permutation(src: _Lines, n: int) -> Permutation:
         raise ParseError(str(e), src.pos) from None
 
 
+def _field(p: int) -> PrimeField:
+    """The field of a header's modulus; a bad modulus is a parse error."""
+    try:
+        return PrimeField(p)
+    except ValueError as e:
+        raise ParseError(str(e), 1) from None
+
+
 def _check_residues(vals, p: int, line_no: int) -> None:
     for v in vals:
         if not 0 <= v < p:
@@ -163,7 +158,7 @@ def parse_bruhat(text: str) -> BruhatGenerator:
     n, p, r = _header(src, "BRUHAT n p r")
     if n < 0 or r < 0:
         raise ParseError(f"negative size {n} or rank {r}", 1)
-    field = PrimeField(p)
+    field = _field(p)
     pivots, lower, upper = [], [], []
     for _ in range(r):
         i, j = src.next_ints(2)
@@ -246,7 +241,7 @@ def parse_compact(text: str) -> CompactBruhatGenerator:
     if not 0 <= r <= n or (r and s < 1) or t != len(block_widths(r, s)):
         raise ParseError(f"{t} block columns of width {s} cannot hold {r} "
                          f"of {n} columns", 1)
-    field = PrimeField(p)
+    field = _field(p)
     lower = _parse_echelon(src, n, s, r, t, field, False)
     upper = _parse_echelon(src, n, s, r, t, field, True)
     R = _permutation(src, r)
@@ -332,7 +327,7 @@ def _parse_tree_node(src: _Lines, field: PrimeField, a: int, b: int, c: int):
 def parse_tree(text: str) -> TreeGenerator:
     src = _Lines(text)
     n, p, leaf_size = _header(src, "TREE n p leaf")
-    field = PrimeField(p)
+    field = _field(p)
     if n < 0:
         raise ParseError(f"negative size {n}", 1)
     root = _parse_tree_node(src, field, n, n, n - 2)

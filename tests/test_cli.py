@@ -90,6 +90,14 @@ def test_analyze_parse_error(tmp_path):
     assert "line 3" in proc.stderr
 
 
+def test_analyze_rejects_trailing_lines(tmp_path):
+    bad = tmp_path / "junk.txt"
+    bad.write_text("2 2 5\n1 2\n3 4\nJUNK\n")
+    proc = run_cli("analyze", str(bad), check=False)
+    assert proc.returncode == 2
+    assert "line 4" in proc.stderr
+
+
 @pytest.mark.parametrize("kind", ["tree", "bruhat", "compact"])
 def test_compress_roundtrip(tmp_path, kind):
     src = tmp_path / "m.txt"

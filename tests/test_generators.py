@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -405,6 +407,45 @@ def test_compress_with_undersized_block_width_fails():
     assert qs_order(g.pivots, 24) == 3
     with pytest.raises(CompressionError):
         compress_echelon(g, 1)
+
+
+def test_compress_below_the_order_still_exact_when_it_packs():
+    # at p = 2 this order-3 instance packs into width-1 blocks; lower
+    # column 24 takes column 23's overflow while its own segment runs on,
+    # zero, through that overflow's rows, and must not read it as its own
+    from util import high_rank_left_triangular
+    A = high_rank_left_triangular(70, 0, 3, 71, F2)
+    g = lt_bruhat(A, F2)
+    assert qs_order(g.pivots, 70) == 3
+    cb = compact_bruhat(g, 1)
+    assert (24, 23) in cb.lower.moves
+    assert np.array_equal(decompress_echelon(cb.lower), g.dense_l())
+    assert np.array_equal(decompress_echelon(cb.upper), g.dense_u())
+    assert np.array_equal(reconstruct(cb), A)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compact_pack_and_unpack_memory_near_stored_size():
+    # rank about n at order 1 and 4: one n x r int64 matrix is 8 MiB here,
+    # while each side stores at most 2 s n elements
+    from util import high_rank_left_triangular, superdiagonal_above_antidiagonal
+    n = 1024
+    for A in (superdiagonal_above_antidiagonal(n),
+              high_rank_left_triangular(n, 2, 2, 1, F65521)):
+        g = lt_bruhat(A, F65521)
+        assert g.rank > n - 8
+        cb, pack = _traced_peak(lambda: compact_bruhat(g, qs_order(g.pivots, n)))
+        back, unpack = _traced_peak(lambda: compact_to_bruhat(cb))
+        assert back.pivots == g.pivots
+        assert pack < 4 * 2**20
+        assert unpack < 4 * 2**20
 
 
 def test_compression_safety_row_intersections():

@@ -4,7 +4,8 @@ import pytest
 from quasisep import (compact_bruhat, lt_bruhat, random_left_triangular,
                       reconstruct, tree_generator)
 from quasisep.textio import (ParseError, format_bruhat, format_compact,
-                             format_tree, parse_generator, parse_tree)
+                             format_tree, parse_generator, parse_matrix,
+                             parse_tree)
 
 from util import F65521
 
@@ -193,3 +194,30 @@ def test_tree_node_factors_must_have_pluq_form():
         edited[row] = " ".join(str(x) for x in bad)
         with pytest.raises(ParseError):
             parse_tree("\n".join(edited) + "\n")
+
+
+def test_bad_header_modulus_raises_parse_error():
+    A = random_left_triangular(8, 2, 3, F65521)
+    g = lt_bruhat(A, F65521)
+    for text in (format_tree(tree_generator(A, F65521)), format_bruhat(g),
+                 format_compact(compact_bruhat(g, 2))):
+        kind = text.split(" ", 1)[0]
+        # not prime, below 2, at or above 2**31
+        for p in ("4", "1", "0", "-7", str(2**31 + 11)):
+            with pytest.raises(ParseError):
+                parse_generator(text.replace(f"{kind} 8 65521", f"{kind} 8 {p}", 1))
+    with pytest.raises(ParseError):
+        parse_generator("BRUHAT 5 4 0\n")
+    for text in ("2 2 4\n1 2\n3 0\n", "2 2 1\n0 0\n0 0\n"):
+        with pytest.raises(ParseError):
+            parse_matrix(text)
+
+
+def test_matrix_text_rejects_trailing_content():
+    for text in ("2 2 5\n1 2\n3 4\n", "2 2 5\n1 2\n3 4"):
+        A, f = parse_matrix(text)
+        assert A.tolist() == [[1, 2], [3, 4]] and f.p == 5
+    for text in ("2 2 5\n1 2\n3 4\nJUNK\n", "2 2 5\n1 2\n3 4\n5 6\n",
+                 "2 2 5\n1 2\n3 4\n\n", "-1 2 5\n", "2 -1 5\n\n\n"):
+        with pytest.raises(ParseError):
+            parse_matrix(text)
