@@ -14,6 +14,8 @@ import numpy as np
 
 WORD_BOUND = 1 << 31
 _INT64_MAX = (1 << 63) - 1
+_FLOAT_EXACT = 1 << 53     # float64 holds every integer below this exactly
+_FLOAT_MIN_WORK = 4096     # m*k*n where the float64 path starts to win
 
 
 def _is_prime(p: int) -> bool:
@@ -164,16 +166,33 @@ def mat(field: PrimeField, rows) -> np.ndarray:
     return field.reduce(np.array(rows, dtype=np.int64))
 
 
+def residues(A, field: PrimeField) -> np.ndarray:
+    """A as int64 residues in [0, p): A itself when it already holds them
+    (checked by its min and max), else a reduced copy.  Callers that may
+    be handed A itself only read it."""
+    A = np.asarray(A)
+    if A.dtype == np.int64 and (A.size == 0 or (A.min() >= 0 and A.max() < field.p)):
+        return A
+    return np.asarray(A, dtype=np.int64) % field.p
+
+
 def random_matrix(rng: np.random.Generator, m: int, n: int, field: PrimeField) -> np.ndarray:
     return rng.integers(0, field.p, size=(m, n), dtype=np.int64)
 
 
 def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
             counter: OpCounter | None = None) -> np.ndarray:
-    """Exact product with classical operation counts.
+    """Exact product of reduced operands with classical operation counts.
 
-    Accumulation is chunked so that partial sums never exceed int64 range,
-    which matters only for moduli close to the 2**31 bound.
+    When every dot product stays below 2**53, k * (p-1)**2 < 2**53, each
+    partial sum is an integer that float64 holds exactly in any summation
+    order, so the product runs in float64 BLAS and is converted back to
+    int64 before the reduction (the approach of FFLAS-FFPACK).  Products
+    below _FLOAT_MIN_WORK multiplications, and those with one column or
+    one inner index, stay on int64: there converting the operands costs as
+    much as the product.  On the int64 path accumulation is chunked so
+    that partial sums never exceed int64 range, which matters only for
+    moduli close to the 2**31 bound.
     """
     if A.ndim != 2 or B.ndim != 2:
         raise ValueError("mat_mul expects 2-d operands")
@@ -186,6 +205,11 @@ def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
         counter.count_matmul(m, k, n)
     if k == 0 or m == 0 or n == 0:
         return np.zeros((m, n), dtype=np.int64)
+    if (n > 1 and k > 1 and m * k * n >= _FLOAT_MIN_WORK
+            and k * (p - 1) ** 2 < _FLOAT_EXACT):
+        C = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+        C %= p
+        return C
     step = max(1, (_INT64_MAX - p) // ((p - 1) ** 2))
     if k <= step:
         return (A @ B) % p

@@ -308,6 +308,31 @@ def _column_reader(c: CompactEchelon):
     return column
 
 
+def has_stray_entries(c: CompactEchelon, top: np.ndarray) -> bool:
+    """Whether a D or S block holds a nonzero that no read of `_column_reader`
+    covers, when echelon column q is read from row top[q].
+
+    Column q of D_b is read on rows top[q] .. n-2-ech_cols[q].  Column a of
+    S_b (a in block column b-1) continues the segment of the column its
+    relocation chain starts from, found by following `src_map` back from a.
+    """
+    s, widths = c.s, c.widths
+    starts = np.cumsum([0] + c.block_rows)
+    end = c.n - 1 - c.ech_cols
+    root = np.arange(c.r)
+    for a, j in c.moves:          # ascending targets, each source to its left
+        root[a] = root[j]
+    for b in range(c.t):
+        rows = np.arange(starts[b], starts[b + 1])[:, None]
+        blocks = [(c.diag_blocks[b], np.arange(b * s, b * s + widths[b]))]
+        if b:
+            blocks.append((c.sub_blocks[b - 1], root[(b - 1) * s:b * s]))
+        for blk, q in blocks:
+            if blk[(rows < top[q]) | (rows >= end[q])].any():
+                return True
+    return False
+
+
 def decompress_echelon(c: CompactEchelon) -> np.ndarray:
     """Exact inverse of the compression: the dense L (or U) factor."""
     out = np.zeros((c.n, c.n), dtype=np.int64)

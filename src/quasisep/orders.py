@@ -12,7 +12,10 @@ c = n - 2.  The node eliminates its top-left h x h block,
 h = floor((c + 2) / 2), the largest square that lies wholly inside the
 region, and recurses on the h x (b - h) top-right and (a - h) x h
 bottom-left blocks, each with region c - h.  At a power-of-two n every
-block is square and h is half its size.
+block is square and h is half its size.  A node whose top-left block is
+zero finds no pivot and needs no Schur update: its children are views of
+its own blocks.  The elimination reads A and never writes it, so a
+reduced int64 A is used without a copy.
 
 The recursion stops at blocks of at most _BASE = 32 rows and columns:
 each is finished by one `pluq_rpm` of its left region, and the fill
@@ -27,8 +30,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .field import (OpCounter, PrimeField, mat_mul, rank, region_mask,
-                    reverse_cols, reverse_rows, strict_lower, strict_upper,
-                    trsm_unit_lower, trsm_upper_right)
+                    residues, reverse_cols, reverse_rows, strict_lower,
+                    strict_upper, trsm_unit_lower, trsm_upper_right)
 from .pluq import RankProfileMatrix, pluq_rpm
 
 
@@ -100,6 +103,10 @@ def _left_elimination(A: np.ndarray, field: PrimeField,
                                   UQ[k, j:c + 1 - i].copy()))
             return
         h = (c + 2) // 2
+        if not A[:h, :h].any():      # most nodes find no pivot: their
+            rec(A[:h, h:], c - h, row0, col0 + h)   # children are views
+            rec(A[h:, :h], c - h, row0 + h, col0)
+            return
         d = pluq_rpm(A[:h, :h], field, counter)
         r1 = d.r
         rp = d.P.img
@@ -113,30 +120,32 @@ def _left_elimination(A: np.ndarray, field: PrimeField,
         V1 = d.U[:r1, r1:]
         D = trsm_unit_lower(L1, B[:r1], field, counter)
         E = trsm_upper_right(C[:, :r1], U1, field, counter)
-        F = (B[r1:] - mat_mul(M1, D, field, counter)) % p
-        G = (C[:, r1:] - mat_mul(E, V1, field, counter)) % p
+        F = B[r1:]                   # the Schur complements, in place
+        F -= mat_mul(M1, D, field, counter)
+        F %= p
+        G = C[:, r1:]
+        G -= mat_mul(E, V1, field, counter)
+        G %= p
         if counter is not None:
             counter.adds += F.size + G.size
 
-        if r1:                       # most nodes find no pivot
-            PL = d.P.apply_rows(d.L)
-            UQ = d.Q.apply_cols(d.U)
+        PL = d.P.apply_rows(d.L)
+        UQ = d.Q.apply_cols(d.U)
         for k, (i, j) in enumerate(zip(rp[:r1].tolist(), cp[:r1].tolist())):
             found.append((row0 + i, col0 + j,
                           np.concatenate([PL[i:, k], E[:c + 1 - h - j, k]]),
                           np.concatenate([UQ[k, j:], D[k, :c + 1 - h - i]])))
 
-        H = np.zeros((h, b - h), dtype=np.int64)  # P1 [0; F], by a row scatter
-        H[rp[r1:]] = F
-        I = np.zeros((a - h, h), dtype=np.int64)  # [0 | G] Q1, by a column gather:
-        I[:, r1:] = G                             # numpy scatters columns slower
-        I = d.Q.apply_cols(I)
-        del B, C, D, E, F, G                      # not held across the recursion
+        B[:r1] = 0
+        H = d.P.apply_rows(B)        # P1 [0; F], by a row scatter
+        C[:, :r1] = 0
+        I = d.Q.apply_cols(C)        # [0 | G] Q1, by a column gather
+        del B, C, D, E, F, G         # not held across the recursion
         rec(H, c - h, row0, col0 + h)
         rec(I, c - h, row0 + h, col0)
 
     n = A.shape[0]
-    rec(np.remainder(np.asarray(A, dtype=np.int64), p), n - 2, 0, 0)
+    rec(residues(A, field), n - 2, 0, 0)
     found.sort(key=lambda piv: piv[0])
     return found
 
@@ -163,10 +172,17 @@ def quasiseparable_orders(M: np.ndarray, field: PrimeField,
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("quasiseparable_orders expects a square matrix")
-    # J_n @ lower part and upper part @ J_n, both left triangular, each
-    # formed only for its own call
-    r_l = qs_order(lt_rpm(reverse_rows(strict_lower(M)), field, counter).pivots, n)
-    r_u = qs_order(lt_rpm(reverse_cols(strict_upper(M)), field, counter).pivots, n)
+    # J_n @ lower part and upper part @ J_n, both left triangular: each is
+    # a reversed view of its own triangle, reduced in place, and formed only
+    # for its own call, so the elimination copies nothing more at its root
+    M = np.asarray(M, dtype=np.int64)
+    low = strict_lower(M)[::-1]
+    low %= field.p
+    r_l = qs_order(lt_rpm(low, field, counter).pivots, n)
+    del low
+    up = strict_upper(M)[:, ::-1]
+    up %= field.p
+    r_u = qs_order(lt_rpm(up, field, counter).pivots, n)
     return QsOrders(r_l, r_u)
 
 

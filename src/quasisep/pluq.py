@@ -3,10 +3,16 @@
 The pivoting strategy picks the nonzero entry of the trailing submatrix
 with lexicographically minimal (row, column) and moves it into place with
 cyclic row/column rotations, which preserves the relative order of the
-remaining rows and columns.  The search reads the first row with a
-nonzero (one `any` per row), then that row's first nonzero, and builds
-no index list; the rank-1 Schur update runs in place.  A brute-force
-rank-table oracle double-checks the revealed profile in the test suite.
+remaining rows and columns.  `pluq_rpm` reaches the same result by a
+row-recursive elimination (Dumas, Pernet & Sultan, ISSAC'15): it factors
+the top half of the rows, updates the bottom half with one triangular
+solve and one `mat_mul`, and factors that Schur complement unless it is
+zero.  The updates are matrix products, and a bottom half left with no
+pivot costs one pass.  Blocks of at most _ROW_BASE rows run the scalar
+loop: it reads the first row with a nonzero (one `any` per row), then
+that row's first nonzero, and makes the rank-1 Schur update in place.  A
+brute-force rank-table oracle double-checks the revealed profile in the
+test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +21,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import OpCounter, Permutation, PrimeField, mat_mul
+from .field import (OpCounter, Permutation, PrimeField, mat_mul, residues,
+                    trsm_upper_right)
+
+
+_ROW_BASE = 32     # blocks of at most this many rows run the scalar loop
 
 
 @dataclass
@@ -79,9 +89,80 @@ class PluqDecomposition:
 
 def pluq_rpm(A: np.ndarray, field: PrimeField,
              counter: OpCounter | None = None) -> PluqDecomposition:
-    """PLUQ decomposition whose P [I_r; 0] Q equals the rank profile matrix."""
+    """PLUQ decomposition whose P [I_r; 0] Q equals the rank profile matrix.
+
+    A is read, never written; an int64 A that is already reduced is used
+    without a copy.
+    """
+    rp, cp, L, U = _pluq(residues(A, field), field, counter)
+    inv_cp = np.empty_like(cp)
+    inv_cp[cp] = np.arange(len(cp), dtype=np.int64)
+    return PluqDecomposition(Permutation(rp), L, U, Permutation(inv_cp),
+                             U.shape[0], field)
+
+
+def _pluq(A: np.ndarray, field: PrimeField, counter: OpCounter | None) -> tuple:
+    """(rp, cp, L, U) with A[rp][:, cp] = L U for a reduced A.
+
+    Splits the rows in halves.  The scalar search takes the first nonzero
+    row of the trailing block, so it meets every pivot of the top half, in
+    the same order, before any pivot of the bottom half, and its rotations
+    keep the other rows and columns in order.  So the top half is factored
+    alone, the bottom rows in its column order C = [C1 C2] give
+    E = C1 U11^-1 and the Schur complement G = C2 - E V1, and G is factored
+    alone.  Rows end up as [top pivots, bottom pivots, top non-pivots,
+    bottom non-pivots], and with P and Q fixed L and U are unique: the
+    result equals the scalar loop's.
+    """
+    m, n = A.shape
+    if m <= _ROW_BASE:
+        return _pluq_rows(A, field, counter)
     p = field.p
-    W = np.array(A, dtype=np.int64) % p
+    m1 = m // 2
+    m2 = m - m1
+    rp1, cp1, L1, U1 = _pluq(A[:m1], field, counter)
+    r1 = U1.shape[0]
+    if r1:
+        C = A[m1:, cp1]
+        E = trsm_upper_right(C[:, :r1], U1[:, :r1], field, counter)
+        G = C[:, r1:]
+        G -= mat_mul(E, U1[:, r1:], field, counter)
+        G %= p
+        if counter is not None:
+            counter.adds += G.size
+    else:                            # no pivot on top: cp1 is the identity
+        E = np.zeros((m2, 0), dtype=np.int64)
+        G = A[m1:]
+    if G.any():
+        rp2, cp2, L2, U2 = _pluq(G, field, counter)
+    else:
+        rp2 = np.arange(m2, dtype=np.int64)
+        cp2 = np.arange(n - r1, dtype=np.int64)
+        L2 = np.zeros((m2, 0), dtype=np.int64)
+        U2 = np.zeros((0, n - r1), dtype=np.int64)
+    r2 = U2.shape[0]
+    r = r1 + r2
+    E = E[rp2]
+    L = np.zeros((m, r), dtype=np.int64)
+    L[:r1, :r1] = L1[:r1]                     # top pivot rows
+    L[r1:r, :r1] = E[:r2]                     # bottom pivot rows
+    L[r1:r, r1:] = L2[:r2]
+    L[r:r + m1 - r1, :r1] = L1[r1:]           # top non-pivot rows
+    L[r + m1 - r1:, :r1] = E[r2:]             # bottom non-pivot rows
+    L[r + m1 - r1:, r1:] = L2[r2:]
+    U = np.zeros((r, n), dtype=np.int64)
+    U[:r1, :r1] = U1[:, :r1]
+    U[:r1, r1:] = U1[:, r1:][:, cp2]
+    U[r1:, r1:] = U2
+    rp = np.concatenate([rp1[:r1], m1 + rp2[:r2], rp1[r1:], m1 + rp2[r2:]])
+    cp = np.concatenate([cp1[:r1], cp1[r1:][cp2]])
+    return rp, cp, L, U
+
+
+def _pluq_rows(A: np.ndarray, field: PrimeField, counter: OpCounter | None) -> tuple:
+    """The scalar loop behind `_pluq`, on a copy of a reduced A."""
+    p = field.p
+    W = np.array(A, dtype=np.int64)
     m, n = W.shape
     rp = np.arange(m, dtype=np.int64)
     cp = np.arange(n, dtype=np.int64)
@@ -116,9 +197,7 @@ def pluq_rpm(A: np.ndarray, field: PrimeField,
     if r:
         L[np.arange(r), np.arange(r)] = 1
     U = np.triu(W[:r, :])
-    inv_cp = np.empty_like(cp)
-    inv_cp[cp] = np.arange(n, dtype=np.int64)
-    return PluqDecomposition(Permutation(rp), L, U, Permutation(inv_cp), r, field)
+    return rp, cp, L, U
 
 
 def rpm_from_pluq(d: PluqDecomposition) -> RankProfileMatrix:

@@ -16,7 +16,8 @@ nonzero diagonal, and its children are the h x (b - h) top-right and
 (a - h) x h bottom-left blocks of the a x b node, each with region c - h.
 A `LEAF m` line gives the leaf's row count, which must be the one its
 parent implies.  A COMPACT relocation map parks each moved column one
-block column to the right of its source, and no source twice.
+block column to the right of its source, and no source twice, and every
+nonzero D or S entry lies in some pivot's segment as the decoder reads it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .field import Permutation, PrimeField, region_mask
 from .generators import (BruhatGenerator, CompactBruhatGenerator,
                          CompactEchelon, TreeGenerator, TreeLeaf, TreeNode,
-                         block_widths)
+                         block_widths, has_stray_entries)
 from .pluq import PluqDecomposition
 
 
@@ -255,6 +256,13 @@ def parse_compact(text: str) -> CompactBruhatGenerator:
     for i, j in pivots:
         if i + j > n - 2:
             raise ParseError(f"pivot {(i, j)} outside the left region")
+    # the decoder reads the segment of the pivot (i, j) from row i of L's
+    # column j and from column j of U's row i
+    top_lower = np.empty(r, dtype=np.int64)
+    top_lower[R.img] = upper.ech_cols
+    if has_stray_entries(lower, top_lower) \
+            or has_stray_entries(upper, lower.ech_cols[R.img]):
+        raise ParseError("a nonzero D or S entry lies outside every segment")
     return cb
 
 

@@ -72,6 +72,51 @@ def test_mat_mul_large_modulus_chunked():
     assert np.array_equal(mat_mul(A, B, f), schoolbook_mul(A, B, f))
 
 
+def _python_int_product(A, B, p):
+    return (A.astype(object) @ B.astype(object)) % p
+
+
+# (p, m, k, n): float64 BLAS where k (p-1)^2 < 2^53 and m k n >= 4096 with
+# k, n > 1, int64 otherwise.  Entries p-2 make every product odd, so an odd
+# sum of three or more rounded in float64 past 2^53 would show; random
+# entries catch the rest.
+_MAT_MUL_EDGES = [
+    (67108859, 64, 1, 64),      # one inner index: int64
+    (67108859, 48, 2, 48),      # 2 (p-1)^2 = 2^53 - 1610612664: float64
+    (67108859, 40, 3, 40),      # 3 (p-1)^2 > 2^53: int64
+    (94906249, 64, 1, 64),      # (p-1)^2 = 2^53 - 3345303488: int64
+    (94906249, 48, 2, 48),      # 2 (p-1)^2 > 2^53: int64
+    (2, 16, 16, 16),
+    (65521, 16, 16, 16),        # m k n = 4096, just at the threshold: float64
+    (65521, 63, 5, 13),         # m k n = 4095, just below it: int64
+    (65521, 512, 8, 1),         # one column: int64
+    (2**31 - 1, 16, 16, 16),    # (p-1)^2 > 2^53 / 16: int64, chunked
+]
+
+
+@pytest.mark.parametrize("p, m, k, n", _MAT_MUL_EDGES,
+                         ids=lambda v: str(v))
+def test_mat_mul_edges_against_python_ints(p, m, k, n):
+    f = PrimeField(p)
+    for fill in {p - 1, max(p - 2, 0)}:
+        A = np.full((m, k), fill, dtype=np.int64)
+        B = np.full((k, n), fill, dtype=np.int64)
+        got = mat_mul(A, B, f)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _python_int_product(A, B, p))
+    rng = np.random.default_rng(p % 997)
+    A = random_matrix(rng, m, k, f)
+    B = random_matrix(rng, k, n, f)
+    assert np.array_equal(mat_mul(A, B, f), _python_int_product(A, B, p))
+
+
+@pytest.mark.parametrize("m, k, n", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)])
+def test_mat_mul_zero_size(m, k, n):
+    got = mat_mul(np.zeros((m, k), dtype=np.int64),
+                  np.zeros((k, n), dtype=np.int64), F65521)
+    assert got.shape == (m, n) and got.dtype == np.int64 and not got.any()
+
+
 def test_mat_mul_counter_exact():
     rng = np.random.default_rng(3)
     A = random_matrix(rng, 3, 7, F65521)

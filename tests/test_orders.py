@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from quasisep import (OpCounter, lt_rpm, mat, qs_order, qs_order_bruteforce,
-                      qs_orders_bruteforce, quasiseparable_orders,
-                      random_left_triangular, random_matrix, rank,
-                      reverse_rows, rpm_bruteforce, strict_lower)
+from quasisep import (OpCounter, lt_bruhat, lt_rpm, mat, pluq_rpm, qs_order,
+                      qs_order_bruteforce, qs_orders_bruteforce,
+                      quasiseparable_orders, random_left_triangular,
+                      random_matrix, random_qs, rank, reverse_rows,
+                      rpm_bruteforce, strict_lower)
 from quasisep import orders
-from quasisep.field import left_part
+from quasisep.field import left_part, mat_mul
 
 from util import (BASE_SIZES, F2, F3, F5, F65521, F2147483647,
                   random_invertible_tridiagonal,
@@ -191,3 +192,32 @@ def test_non_square_rejected():
         lt_rpm(np.zeros((2, 3), dtype=np.int64), F5)
     with pytest.raises(ValueError):
         quasiseparable_orders(np.zeros((2, 3), dtype=np.int64), F5)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "unreduced"])
+def test_inputs_left_unchanged(reduced):
+    # a reduced int64 input is used without a copy and the recursions work
+    # on views of it, so none of them may write to it
+    f = F65521
+    rng = np.random.default_rng(206)
+    lt = random_left_triangular(100, 3, 207, f)
+    M = random_qs(100, 3, 2, 208, f)
+    B = mat_mul(random_matrix(rng, 100, 4, f), random_matrix(rng, 4, 40, f), f)
+    calls = [(lt_rpm, lt), (lt_bruhat, lt), (quasiseparable_orders, M), (pluq_rpm, B)]
+    for fn, A in calls:
+        want = fn(A, f)
+        if not reduced:
+            A = A + f.p * rng.integers(-3, 4, A.shape)
+        before = A.copy()
+        got = fn(A, f)
+        assert np.array_equal(A, before), fn.__name__
+        if fn is lt_bruhat:
+            assert got.pivots == want.pivots
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(got.lower_segs + got.upper_segs,
+                           want.lower_segs + want.upper_segs))
+        elif fn is pluq_rpm:
+            assert got.P == want.P and got.Q == want.Q
+            assert np.array_equal(got.L, want.L) and np.array_equal(got.U, want.U)
+        else:
+            assert got == want, fn.__name__

@@ -2,12 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasisep import (PrimeField, RankProfileMatrix, check_pluq_structure, mat,
                       mat_mul, pluq_rpm, random_matrix, rpm_bruteforce,
                       rpm_from_pluq)
+from quasisep import pluq
 
 from util import F2, F3, F5, F65521, F2147483647
+
+FIELDS = (F2, F3, F65521, F2147483647)
+KINDS = ("random", "low rank", "sparse", "top half zero")
 
 
 def test_worked_example_rpm():
@@ -153,3 +158,57 @@ def test_pivot_search_edge_cases(f):
         assert np.array_equal(d.reconstruct(), A)
         assert check_pluq_structure(d)
         assert rpm_from_pluq(d).pivots == rpm_bruteforce(A, f).pivots
+
+
+def _recursion_case(f, m, n, kind, rng):
+    """An m x n matrix of one of KINDS: full rank, rank <= 3, about 5 %
+    nonzero, or random with its top half zero."""
+    p = f.p
+    if kind == "low rank":
+        r = int(rng.integers(0, 4))
+        return mat_mul(random_matrix(rng, m, r, f), random_matrix(rng, r, n, f), f)
+    A = random_matrix(rng, m, n, f)
+    if kind == "sparse":
+        A[rng.random((m, n)) >= 0.05] = 0
+    elif kind == "top half zero":
+        A[:m // 2] = 0
+    return A % p
+
+
+def test_row_recursion_matches_scalar_base(monkeypatch):
+    # base 1 splits down to single rows, base 2 to pairs; the default base
+    # (32 rows) runs the scalar loop alone up to m = 32.  P, L, U, Q and r
+    # must not depend on where the recursion stops.
+    rng = np.random.default_rng(105)
+    cases = [(f, m, int(rng.integers(1, 48)), kind)
+             for f in FIELDS for m in (1, 31, 32, 33, 64, 65, 100, 257)
+             for kind in KINDS]
+    mats = [_recursion_case(f, m, n, kind, rng) for f, m, n, kind in cases]
+    want = [pluq_rpm(A, f) for A, (f, *_) in zip(mats, cases)]
+    for base in (1, 2):
+        monkeypatch.setattr(pluq, "_ROW_BASE", base)
+        for A, (f, m, n, kind), d in zip(mats, cases, want):
+            got = pluq_rpm(A, f)
+            assert got.r == d.r and got.P == d.P and got.Q == d.Q, (base, f, m, kind)
+            assert np.array_equal(got.L, d.L) and np.array_equal(got.U, d.U), \
+                (base, f, m, kind)
+
+
+@st.composite
+def _pluq_inputs(draw):
+    f = draw(st.sampled_from(FIELDS))
+    m = draw(st.integers(1, 90))
+    n = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return f, _recursion_case(f, m, n, kind, rng)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(_pluq_inputs())
+def test_pluq_property(case):
+    f, A = case
+    d = pluq_rpm(A, f)
+    assert rpm_from_pluq(d).pivots == rpm_bruteforce(A, f).pivots
+    assert check_pluq_structure(d)
+    assert np.array_equal(d.reconstruct(), A)

@@ -154,6 +154,24 @@ def test_compact_relocation_map_is_checked():
             parse_generator(text)
 
 
+def test_compact_stray_entries_raise_parse_error():
+    # a nonzero that no column read covers used to parse and be dropped,
+    # so the corrupted text reconstructed the original matrix
+    g = lt_bruhat(random_left_triangular(12, 2, 3, F65521), F65521)
+    small = format_compact(compact_bruhat(g, 2)).splitlines()
+    chained = _compact_lines()
+    # the lower D block's row 11, past column 1's segment end at row 10;
+    # then row 3 of the lower S_1 (line 12, 4 x 4) in a column whose
+    # relocation chain ends above it
+    for lines, at, k in ((small, 3, 23), (chained, 12, 15)):
+        vals = lines[at].split()
+        assert vals[k] == "0"
+        vals[k] = "5"
+        text = "\n".join(lines[:at] + [" ".join(vals)] + lines[at + 1:]) + "\n"
+        with pytest.raises(ParseError):
+            parse_generator(text)
+
+
 def test_compact_header_block_count_must_fit_rank():
     lines = _compact_lines()
     for head in ("COMPACT 40 65521 0 36 9", "COMPACT 40 65521 4 41 9",
