@@ -10,9 +10,12 @@ Three representations are built here:
 * the sparse (L, E, U) triple made of the left parts of the permuted
   PLUQ factors, stored as one column/row segment per pivot,
 * its block compression into a block-diagonal D plus sub-diagonal S with
-  a column-relocation map T and an echelon permutation, packed from the
-  segments and unpacked into them one echelon column at a time, so
-  neither direction forms an n x r matrix.
+  a column-relocation map T and an echelon permutation.  Every rule of
+  that layout lives here: `CompactEchelon.columns` says which segment
+  each D or S column holds, `_runs` turns it into the copies between
+  blocks and segments, which the packer and the decoder make in opposite
+  directions without forming an n x r matrix, and
+  `CompactBruhatGenerator.validate` checks a generator against it.
 
 `random_qs` fabricates quasiseparable test instances and `qs_from_dense`
 splits a full matrix into diagonal plus two represented triangles.
@@ -21,6 +24,7 @@ splits a full matrix into diagonal plus two represented triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 import numpy as np
 
@@ -238,11 +242,16 @@ class CompactEchelon:
     same column-based layout serves both factors.  `src_map` is the record
     of the column relocations T: `src_map[a]` names the echelon column
     whose overflow was parked at echelon column a (or a itself), always
-    one block column to the left of a.  `moves` is derived from it.
+    one block column to the left of a.  `moves` is derived from it, and so
+    is `owners`: `owners[a]` is the column a's relocation chain starts from.
 
-    Echelon column q of block column b reads D_b, then (unless q holds a
-    parked overflow) S_(b+1), then the S_(b+2), S_(b+3), ... columns its
-    overflow was parked at in turn; the rest of its segment is zero.
+    Column q of D_b holds rows starts[b] .. starts[b+1]-1 of echelon column
+    q's segment, and column a of S_(b+1) (a in block column b) holds the
+    next block's rows of the segment of owners[a]; the rest is zero.
+    `columns` lists, for every column of diag_blocks + sub_blocks in turn,
+    its block's index there, its index in the block, the block's first row,
+    the row where it stops holding its segment (the block's end or the
+    segment's, whichever comes first) and that segment's q.
     """
 
     n: int
@@ -254,6 +263,27 @@ class CompactEchelon:
     diag_blocks: list             # D_i, k_i x w_i (w_t may be ragged)
     sub_blocks: list              # S_i, k_i x s, i = 2..t
     src_map: np.ndarray
+
+    def __post_init__(self):
+        r, s, src, rows, widths = self.r, self.s, self.src_map, self.block_rows, self.widths
+        moved = np.flatnonzero(src != np.arange(r))
+        if ((src < 0) | (src >= r)).any() or (src[moved] // s != moved // s - 1).any() \
+                or len(set(src[moved].tolist())) < len(moved):
+            raise ValueError("a column relocation is out of range, not from the "
+                             "block column to its left, or repeated")
+        if len(rows) != len(widths) or rows and (
+                sum(rows) != self.n or min(rows[:-1], default=s) < s or rows[-1] < 0):
+            raise ValueError(f"block rows {rows} do not cut n = {self.n} into "
+                             f"{len(widths)} blocks of at least s = {s} rows")
+        self.owners = np.arange(r)
+        for a in moved.tolist():      # ascending, each source to the left of its target
+            self.owners[a] = self.owners[src[a]]
+        t, starts = self.t, np.array(list(accumulate(rows, initial=0)))
+        q = np.concatenate([np.arange(r), self.owners[:max(t - 1, 0) * s]])
+        j = np.arange(len(q))         # D's columns, then S's from r on
+        b = np.where(j < r, j, j - r + s) // s        # the block's row
+        self.columns = (np.where(j < r, b, b + t - 1), np.where(j < r, j, j - r) % s,
+                        starts[b], np.minimum(starts[b + 1], self.n - 1 - self.ech_cols[q]), q)
 
     @property
     def r(self) -> int:
@@ -283,63 +313,43 @@ class CompactEchelon:
                    + sum(b.size for b in self.sub_blocks))
 
 
-def _column_reader(c: CompactEchelon):
-    """column(q, top): echelon column q of D + S T on rows top .. n-2-ech_cols[q],
-    read block by block in the order `CompactEchelon` gives."""
-    s, starts = c.s, np.cumsum([0] + c.block_rows).tolist()
-    ech, src_map = c.ech_cols.tolist(), c.src_map.tolist()
-    dst = {j: a for a, j in c.moves}       # inverse of the relocations
-
-    def column(q: int, top: int) -> np.ndarray:
-        end = c.n - 1 - ech[q]
-        col = np.zeros(max(end - top, 0), dtype=np.int64)
-        b = q // s
-        blk, k = c.diag_blocks[b], q - b * s
-        x = q if src_map[q] == q else -1   # a relocation target holds nothing of its own past D
-        while True:
-            a, e = max(starts[b], top), min(starts[b + 1], end)
-            if a < e:
-                col[a - top:e - top] = blk[a - starts[b]:e - starts[b], k]
-            b += 1
-            if x < 0 or b == c.t or starts[b] >= end:
-                return col
-            blk, k, x = c.sub_blocks[b - 1], x - (b - 1) * s, dst.get(x, -1)
-
-    return column
+def _runs(c: CompactEchelon, tops) -> zip:
+    """The copies between c's blocks and its segments, q's read from row
+    tops[q]: a run (block, column, first row in the block, length, q, first
+    index in q's segment) for each column of `c.columns` that its segment
+    reaches."""
+    blk, col, first, last, q = c.columns
+    top = np.asarray(tops, dtype=np.int64)[q]
+    lo = np.maximum(first, top)
+    keep = lo < last
+    return zip(*(v[keep].tolist() for v in (blk, col, lo - first, last - lo, q, lo - top)))
 
 
-def has_stray_entries(c: CompactEchelon, top: np.ndarray) -> bool:
-    """Whether a D or S block holds a nonzero that no read of `_column_reader`
-    covers, when echelon column q is read from row top[q].
+def _blocks(c: CompactEchelon, lead: list, seg: list) -> tuple:
+    """The D and S blocks that hold segments seg, q's from row lead[q]."""
+    shapes = list(zip(c.block_rows, c.widths)) + [(k, c.s) for k in c.block_rows[1:]]
+    blocks = [np.zeros(shape, dtype=np.int64) for shape in shapes]
+    for blk, col, i, m, q, j in _runs(c, lead):
+        blocks[blk][i:i + m, col] = seg[q][j:j + m]
+    return blocks[:c.t], blocks[c.t:]
 
-    Column q of D_b is read on rows top[q] .. n-2-ech_cols[q].  Column a of
-    S_b (a in block column b-1) continues the segment of the column its
-    relocation chain starts from, found by following `src_map` back from a.
-    """
-    s, widths = c.s, c.widths
-    starts = np.cumsum([0] + c.block_rows)
-    end = c.n - 1 - c.ech_cols
-    root = np.arange(c.r)
-    for a, j in c.moves:          # ascending targets, each source to its left
-        root[a] = root[j]
-    for b in range(c.t):
-        rows = np.arange(starts[b], starts[b + 1])[:, None]
-        blocks = [(c.diag_blocks[b], np.arange(b * s, b * s + widths[b]))]
-        if b:
-            blocks.append((c.sub_blocks[b - 1], root[(b - 1) * s:b * s]))
-        for blk, q in blocks:
-            if blk[(rows < top[q]) | (rows >= end[q])].any():
-                return True
-    return False
+
+def _segments(c: CompactEchelon, tops) -> list:
+    """Inverse of `_blocks`: c's segments in echelon order, q's from row tops[q]."""
+    segs = [np.zeros(max(c.n - 1 - j - top, 0), dtype=np.int64)
+            for j, top in zip(c.ech_cols.tolist(), tops)]
+    blocks = c.diag_blocks + c.sub_blocks
+    for blk, col, i, m, q, j in _runs(c, tops):
+        segs[q][j:j + m] = blocks[blk][i:i + m, col]
+    return segs
 
 
 def decompress_echelon(c: CompactEchelon) -> np.ndarray:
     """Exact inverse of the compression: the dense L (or U) factor."""
     out = np.zeros((c.n, c.n), dtype=np.int64)
     cols = out.T if c.transposed else out    # the columns of U^T are U's rows
-    column = _column_reader(c)
-    for q, j in enumerate(c.ech_cols.tolist()):
-        cols[:c.n - 1 - j, j] = column(q, 0)
+    for seg, j in zip(_segments(c, [0] * c.r), c.ech_cols.tolist()):
+        cols[:len(seg), j] = seg
     return out
 
 
@@ -355,13 +365,11 @@ def _compress_columns(g: BruhatGenerator, s: int, transposed: bool) -> CompactEc
         [ech_cols, np.setdiff1d(np.arange(n, dtype=np.int64), ech_cols)]))
     if r and s <= 0:
         raise ValueError("block width must be positive when pivots exist")
-    widths = block_widths(r, s)
-    t = len(widths)
+    t = len(block_widths(r, s))
     starts = [0] + [lead[b * s] for b in range(1, t)] + [n]
 
     # A relocation only asks of a column the last row where it still holds
-    # a nonzero and whose segment it carries past that point.
-    carries = list(range(r))
+    # a nonzero, its own or one parked there.
     last = [lead[q] + int(np.flatnonzero(seg[q]).max(initial=-1))
             for q in range(max(t - 1, 0) * s)]   # all but the last block column
     src_map = np.arange(r, dtype=np.int64)
@@ -375,22 +383,12 @@ def _compress_columns(g: BruhatGenerator, s: int, transposed: bool) -> CompactEc
                     f"no zero column in block column {b}; "
                     f"is s={s} really an order bound?")
             k = free.pop(0)
-            carries[k], last[k], src_map[k] = carries[j], last[j], j
+            last[k], src_map[k] = last[j], j
 
-    def window(b: int, owners) -> np.ndarray:
-        """Rows starts[b] .. starts[b+1] of the segments `owners`, one per column."""
-        lo, hi = starts[b], starts[b + 1]
-        blk = np.zeros((hi - lo, len(owners)), dtype=np.int64)
-        for c, q in enumerate(owners):
-            a, e = max(lo, lead[q]), min(hi, lead[q] + len(seg[q]))
-            if a < e:
-                blk[a - lo:e - lo, c] = seg[q][a - lead[q]:e - lead[q]]
-        return blk
-
-    return CompactEchelon(
-        n, s, g.field, transposed, perm, [starts[b + 1] - starts[b] for b in range(t)],
-        [window(b, range(b * s, b * s + widths[b])) for b in range(t)],
-        [window(b, carries[(b - 1) * s:b * s]) for b in range(1, t)], src_map)
+    c = CompactEchelon(n, s, g.field, transposed, perm,
+                       [starts[b + 1] - starts[b] for b in range(t)], [], [], src_map)
+    c.diag_blocks, c.sub_blocks = _blocks(c, lead, seg)
+    return c
 
 
 def compress_echelon(g: BruhatGenerator, s: int) -> CompactEchelon:
@@ -405,45 +403,65 @@ def compress_echelon_upper(g: BruhatGenerator, s: int) -> CompactEchelon:
 
 @dataclass
 class CompactBruhatGenerator:
+    """Both compressed sides plus R, the leading r x r block of Q^T E^T P^T:
+    lower echelon column k is pivot k (pivots sorted by row) and upper
+    echelon column q is pivot R(q)."""
+
     n: int
     s: int
     field: PrimeField
-    pivots: list
     lower: CompactEchelon
     upper: CompactEchelon
-    R: Permutation    # leading r x r block of Q^T E^T P^T
+    R: Permutation
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return self.lower.r
+
+    @property
+    def pivots(self) -> list:
+        """(row, column) of each pivot, read off the two echelon orders."""
+        rows = np.empty(self.rank, dtype=np.int64)
+        rows[self.R.img] = self.upper.ech_cols
+        return list(zip(rows.tolist(), self.lower.ech_cols.tolist()))
 
     def stored_elements(self) -> int:
         return self.lower.stored_elements() + self.upper.stored_elements()
+
+    def validate(self) -> None:
+        """Raise ValueError unless the generator decodes to a valid Bruhat
+        generator whose segments pack back into exactly these blocks."""
+        g = compact_to_bruhat(self)
+        g.validate()
+        # the decoder reads each stored entry at most once, into a slot of
+        # its own, so a nonzero it never reads leaves the blocks with more
+        # nonzeros than the segments
+        blocks = [b for c in (self.lower, self.upper) for b in c.diag_blocks + c.sub_blocks]
+        if sum(map(np.count_nonzero, blocks)) != g.nnz_lower() + g.nnz_upper():
+            raise ValueError("a nonzero D or S entry lies outside every segment")
 
 
 def compact_bruhat(g: BruhatGenerator, s: int) -> CompactBruhatGenerator:
     """Compact Bruhat generator: both compressed sides plus the pivot link R."""
     lower = compress_echelon(g, s)
     upper = compress_echelon_upper(g, s)
-    r = g.rank
-    by_col = sorted(range(r), key=lambda k: g.pivots[k][1])
-    R = Permutation(np.array(by_col, dtype=np.int64))
-    return CompactBruhatGenerator(g.n, s, g.field, list(g.pivots), lower, upper, R)
+    by_col = sorted(range(g.rank), key=lambda k: g.pivots[k][1])
+    return CompactBruhatGenerator(g.n, s, g.field, lower, upper, Permutation(by_col))
 
 
 def compact_to_bruhat(cb: CompactBruhatGenerator) -> BruhatGenerator:
-    """Re-extract the per-pivot segments, each read column by column from
-    the D and S blocks of its side; the one decoder of the compact format.
+    """Re-extract the per-pivot segments from the D and S blocks of each
+    side; the one decoder of the compact format.  Pivot (i, j) reads L's
+    column j from row i and U's row i from column j.
 
     Densifying the result applies Left() to L E^T U; the plain product
     (D_L + S_L T_L) R (D_U + T_U S_U) needs that projection too (erratum).
     """
-    col_l, col_u = _column_reader(cb.lower), _column_reader(cb.upper)
-    at_l = {j: q for q, j in enumerate(cb.lower.ech_cols.tolist())}  # column j of L
-    at_u = {i: q for q, i in enumerate(cb.upper.ech_cols.tolist())}  # row i of U
-    lower = [col_l(at_l[j], i) for i, j in cb.pivots]
-    upper = [col_u(at_u[i], j) for i, j in cb.pivots]
-    return BruhatGenerator(cb.n, cb.field, list(cb.pivots), lower, upper)
+    pivots = cb.pivots
+    upper = _segments(cb.upper, cb.lower.ech_cols[cb.R.img].tolist())
+    return BruhatGenerator(cb.n, cb.field, pivots,
+                           _segments(cb.lower, [i for i, _ in pivots]),
+                           [upper[q] for q in np.argsort(cb.R.img).tolist()])  # R^-1
 
 
 # ---------------------------------------------------------------------------

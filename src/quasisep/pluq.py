@@ -53,12 +53,6 @@ class RankProfileMatrix:
     def pivots_one_based(self) -> list:
         return [(i + 1, j + 1) for i, j in self.pivots]
 
-    def to_dense(self) -> np.ndarray:
-        R = np.zeros((self.m, self.n), dtype=np.int64)
-        for i, j in self.pivots:
-            R[i, j] = 1
-        return R
-
     def left_part(self) -> "RankProfileMatrix":
         """Pivots with i + j <= n (1-based), the left triangular region."""
         keep = [(i, j) for i, j in self.pivots if i + j <= self.n - 2]

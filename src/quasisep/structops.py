@@ -162,17 +162,14 @@ def mul_lt_by_flat(g: TreeGenerator, F: np.ndarray,
 
 
 def mul_lt_lt(gA: TreeGenerator, gB: TreeGenerator,
-              counter: OpCounter | None = None,
-              middle_reversed: bool = False) -> np.ndarray:
-    """Dense A @ B, or A @ J_n @ B when middle_reversed, of two tree
-    represented left triangular matrices: B is densified and A applied to
-    it by the tree recursion."""
+              counter: OpCounter | None = None) -> np.ndarray:
+    """Dense A @ B of two tree represented left triangular matrices: B is
+    densified and A applied to it by the tree recursion."""
     if gA.n != gB.n:
         raise ValueError("size mismatch in mul_lt_lt")
     if gA.field != gB.field:
         raise ValueError("field mismatch in mul_lt_lt")
-    Bd = reconstruct(gB, counter)
-    return mul_lt_by_flat(gA, Bd[::-1] if middle_reversed else Bd, counter)
+    return mul_lt_by_flat(gA, reconstruct(gB, counter), counter)
 
 
 # ---------------------------------------------------------------------------

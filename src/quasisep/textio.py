@@ -8,26 +8,29 @@ in [2, 2**31).
 Generator files start with a `BRUHAT n p r`, `COMPACT n p s r t` or
 `TREE n p leaf` header; indices inside are 0-based.  Loaders re-validate
 the structural invariants so corrupted files are rejected or exposed, and
-reject any line after the structure.  A TREE file is read top-down from
-its n x n root with left region i + j <= n - 2: a `NODE h r` line factors
-the node's top-left h x h block, which must lie inside the node and its
-region, into a unit lower triangular L and an upper triangular U with a
-nonzero diagonal, and its children are the h x (b - h) top-right and
-(a - h) x h bottom-left blocks of the a x b node, each with region c - h.
-A `LEAF m` line gives the leaf's row count, which must be the one its
-parent implies.  A COMPACT relocation map parks each moved column one
-block column to the right of its source, and no source twice, and every
-nonzero D or S entry lies in some pivot's segment as the decoder reads it.
+reject any line after the structure; any other fault in a text raises
+`ParseError` too.  A TREE file is read top-down from its n x n root with
+left region i + j <= n - 2 and a leaf size of at least 1: a `NODE h r`
+line factors the node's top-left h x h block, which must lie inside the
+node and its region, into a unit lower triangular L and an upper
+triangular U with a nonzero diagonal, and its children are the h x (b - h)
+top-right and (a - h) x h bottom-left blocks of the a x b node, each with
+region c - h.  A `LEAF m` line gives the leaf's row count, which must be
+the one its parent implies.  A BRUHAT or COMPACT text is read as written
+and must then pass its generator's `validate()`; the compact layout's
+rules live in `generators`, not here.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .field import Permutation, PrimeField, region_mask
 from .generators import (BruhatGenerator, CompactBruhatGenerator,
                          CompactEchelon, TreeGenerator, TreeLeaf, TreeNode,
-                         block_widths, has_stray_entries)
+                         block_widths)
 from .pluq import PluqDecomposition
 
 
@@ -44,7 +47,7 @@ class ParseError(ValueError):
 def format_matrix(A: np.ndarray, field: PrimeField) -> str:
     m, n = A.shape
     lines = [f"{m} {n} {field.p}"]
-    lines += [" ".join(str(int(v)) for v in row) for row in A]
+    lines += [_line(row) for row in A]
     return "\n".join(lines) + "\n"
 
 
@@ -56,9 +59,7 @@ def parse_matrix(text: str):
     field = _field(p)
     A = np.zeros((m, n), dtype=np.int64)
     for i in range(m):
-        row = src.next_ints(n)
-        _check_residues(row, p, src.pos)
-        A[i] = row
+        A[i] = src.residues(p, n)
     src.end()
     return A, field
 
@@ -77,9 +78,13 @@ def read_matrix(path):
 # shared helpers
 
 
+def _line(values) -> str:
+    return " ".join(map(str, np.asarray(values).ravel().tolist()))
+
+
 def _ints(line: str, line_no: int) -> list:
     try:
-        return [int(t) for t in line.split()]
+        return list(map(int, line.split()))
     except ValueError:
         raise ParseError("non-integer value", line_no) from None
 
@@ -104,6 +109,14 @@ class _Lines:
             raise ParseError(f"expected {expect} integers, found {len(vals)}", no)
         return vals
 
+    def residues(self, p: int, *shape: int) -> np.ndarray:
+        """The next line as residues mod p, one per entry of an array of `shape`."""
+        vals = self.next_ints(math.prod(shape))
+        if vals and (min(vals) < 0 or max(vals) >= p):
+            bad = next(v for v in vals if not 0 <= v < p)
+            raise ParseError(f"residue {bad} out of range [0, {p})", self.pos)
+        return np.array(vals, dtype=np.int64).reshape(shape)
+
     def end(self) -> None:
         if self.pos < len(self.lines):
             raise ParseError("content after the end of the structure", self.pos + 1)
@@ -119,26 +132,23 @@ def _header(src: _Lines, form: str) -> list:
     return _ints(" ".join(tok[1:]), no)
 
 
+def _checked(make, line: int | None = None):
+    """make()'s result; a ValueError it raises, or an OverflowError from an
+    integer beyond int64, becomes a ParseError."""
+    try:
+        return make()
+    except (ValueError, OverflowError) as e:
+        raise ParseError(str(e), line) from None
+
+
 def _permutation(src: _Lines, n: int) -> Permutation:
     img = src.next_ints(n)
-    try:
-        return Permutation(np.array(img, dtype=np.int64))
-    except ValueError as e:
-        raise ParseError(str(e), src.pos) from None
+    return _checked(lambda: Permutation(img), src.pos)
 
 
 def _field(p: int) -> PrimeField:
     """The field of a header's modulus; a bad modulus is a parse error."""
-    try:
-        return PrimeField(p)
-    except ValueError as e:
-        raise ParseError(str(e), 1) from None
-
-
-def _check_residues(vals, p: int, line_no: int) -> None:
-    for v in vals:
-        if not 0 <= v < p:
-            raise ParseError(f"residue {v} out of range [0, {p})", line_no)
+    return _checked(lambda: PrimeField(p), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +157,8 @@ def _check_residues(vals, p: int, line_no: int) -> None:
 
 def format_bruhat(g: BruhatGenerator) -> str:
     lines = [f"BRUHAT {g.n} {g.field.p} {g.rank}"]
-    for k, (i, j) in enumerate(g.pivots):
-        lines.append(f"{i} {j}")
-        lines.append(" ".join(str(int(v)) for v in g.lower_segs[k]))
-        lines.append(" ".join(str(int(v)) for v in g.upper_segs[k]))
+    for (i, j), lower, upper in zip(g.pivots, g.lower_segs, g.upper_segs):
+        lines += [f"{i} {j}", _line(lower), _line(upper)]
     return "\n".join(lines) + "\n"
 
 
@@ -166,18 +174,14 @@ def parse_bruhat(text: str) -> BruhatGenerator:
         seg_len = n - i - j - 1
         if seg_len <= 0:
             raise ParseError(f"pivot {(i, j)} outside the left region", src.pos)
-        lo = src.next_ints(seg_len)
-        _check_residues(lo, p, src.pos)
-        up = src.next_ints(seg_len)
-        _check_residues(up, p, src.pos)
         pivots.append((i, j))
-        lower.append(np.array(lo, dtype=np.int64))
-        upper.append(np.array(up, dtype=np.int64))
+        lower.append(src.residues(p, seg_len))
+        upper.append(src.residues(p, seg_len))
     src.end()
     order = sorted(range(r), key=lambda k: pivots[k])
     g = BruhatGenerator(n, field, [pivots[k] for k in order],
                         [lower[k] for k in order], [upper[k] for k in order])
-    g.validate()
+    _checked(g.validate)
     return g
 
 
@@ -186,53 +190,26 @@ def parse_bruhat(text: str) -> BruhatGenerator:
 
 
 def _format_echelon(c: CompactEchelon, out: list) -> None:
-    out.append(" ".join(str(int(v)) for v in c.perm.img))
-    out.append(" ".join(str(int(v)) for v in c.block_rows))
-    for blk in c.diag_blocks:
-        out.append(" ".join(str(int(v)) for v in blk.ravel()))
-    for blk in c.sub_blocks:
-        out.append(" ".join(str(int(v)) for v in blk.ravel()))
-    out.append(" ".join(str(int(v)) for v in c.src_map))
+    out += map(_line, [c.perm.img, c.block_rows, *c.diag_blocks, *c.sub_blocks, c.src_map])
 
 
 def _parse_echelon(src: _Lines, n: int, s: int, r: int, t: int,
                    field: PrimeField, transposed: bool) -> CompactEchelon:
     perm = _permutation(src, n)
-    block_rows = src.next_ints(t if t else None)
-    if t == 0 and block_rows:
-        raise ParseError("unexpected block rows for an empty generator", src.pos)
-    if t and sum(block_rows) != n:
-        raise ParseError("block rows must sum to n", src.pos)
-    widths = block_widths(r, s)
-    diag_blocks = []
-    for b in range(t):
-        k_b, w_b = block_rows[b], widths[b]
-        if b < t - 1 and k_b < s:
-            raise ParseError(f"block {b + 1} has {k_b} rows, needs >= {s}", src.pos)
-        vals = src.next_ints(k_b * w_b)
-        _check_residues(vals, field.p, src.pos)
-        diag_blocks.append(np.array(vals, dtype=np.int64).reshape(k_b, w_b))
-    sub_blocks = []
-    for b in range(1, t):
-        vals = src.next_ints(block_rows[b] * s)
-        _check_residues(vals, field.p, src.pos)
-        sub_blocks.append(np.array(vals, dtype=np.int64).reshape(block_rows[b], s))
-    src_map = np.array(src.next_ints(r), dtype=np.int64)
-    moved = np.flatnonzero(src_map != np.arange(r))
-    if ((src_map < 0) | (src_map >= r)).any() \
-            or (src_map[moved] // s != moved // s - 1).any() \
-            or len(np.unique(src_map[moved])) < len(moved):
-        raise ParseError("a column relocation is out of range, not from the "
-                         "block column to its left, or repeated", src.pos)
-    return CompactEchelon(n, s, field, transposed, perm, block_rows,
-                          diag_blocks, sub_blocks, src_map)
+    block_rows = src.next_ints(t)
+    diag_blocks = [src.residues(field.p, k, w)
+                   for k, w in zip(block_rows, block_widths(r, s))]
+    sub_blocks = [src.residues(field.p, k, s) for k in block_rows[1:]]
+    src_map = src.next_ints(r)
+    return _checked(lambda: CompactEchelon(n, s, field, transposed, perm, block_rows, diag_blocks,
+                                           sub_blocks, np.array(src_map, dtype=np.int64)), src.pos)
 
 
 def format_compact(cb: CompactBruhatGenerator) -> str:
     lines = [f"COMPACT {cb.n} {cb.field.p} {cb.s} {cb.rank} {cb.lower.t}"]
     _format_echelon(cb.lower, lines)
     _format_echelon(cb.upper, lines)
-    lines.append(" ".join(str(int(v)) for v in cb.R.img))
+    lines.append(_line(cb.R.img))
     return "\n".join(lines) + "\n"
 
 
@@ -247,22 +224,8 @@ def parse_compact(text: str) -> CompactBruhatGenerator:
     upper = _parse_echelon(src, n, s, r, t, field, True)
     R = _permutation(src, r)
     src.end()
-    # Pivot (row, col) pairs follow from the two echelon orders and R:
-    # the p-th column-ordered pivot has row upper.ech_cols[p] and sits at
-    # row-order position R.img[p], whose column is lower.ech_cols there.
-    pivots = sorted((int(upper.ech_cols[q]), int(lower.ech_cols[R.img[q]]))
-                    for q in range(r))
-    cb = CompactBruhatGenerator(n, s, field, pivots, lower, upper, R)
-    for i, j in pivots:
-        if i + j > n - 2:
-            raise ParseError(f"pivot {(i, j)} outside the left region")
-    # the decoder reads the segment of the pivot (i, j) from row i of L's
-    # column j and from column j of U's row i
-    top_lower = np.empty(r, dtype=np.int64)
-    top_lower[R.img] = upper.ech_cols
-    if has_stray_entries(lower, top_lower) \
-            or has_stray_entries(upper, lower.ech_cols[R.img]):
-        raise ParseError("a nonzero D or S entry lies outside every segment")
+    cb = CompactBruhatGenerator(n, s, field, lower, upper, R)
+    _checked(cb.validate)
     return cb
 
 
@@ -272,16 +235,11 @@ def parse_compact(text: str) -> CompactBruhatGenerator:
 
 def _format_tree_node(node, out: list) -> None:
     if isinstance(node, TreeLeaf):
-        m = node.block.shape[0]
-        out.append(f"LEAF {m}")
-        out.append(" ".join(str(int(v)) for v in node.block.ravel()))
+        out += [f"LEAF {node.block.shape[0]}", _line(node.block)]
         return
     d = node.pluq
     out.append(f"NODE {d.m} {d.r}")
-    out.append(" ".join(str(int(v)) for v in d.P.img))
-    out.append(" ".join(str(int(v)) for v in d.Q.img))
-    out.append(" ".join(str(int(v)) for v in d.L.ravel()))
-    out.append(" ".join(str(int(v)) for v in d.U.ravel()))
+    out += map(_line, [d.P.img, d.Q.img, d.L, d.U])
     _format_tree_node(node.top_right, out)
     _format_tree_node(node.bottom_left, out)
 
@@ -300,9 +258,7 @@ def _parse_tree_node(src: _Lines, field: PrimeField, a: int, b: int, c: int):
         m, = _ints(tok[1], no)
         if m != a:
             raise ParseError(f"leaf has {m} rows, its parent implies {a}", no)
-        vals = src.next_ints(a * b)
-        _check_residues(vals, field.p, src.pos)
-        block = np.array(vals, dtype=np.int64).reshape(a, b)
+        block = src.residues(field.p, a, b)
         if block[~region_mask(a, b, c)].any():
             raise ParseError("leaf entry outside its left region", src.pos)
         return TreeLeaf(block)
@@ -315,12 +271,8 @@ def _parse_tree_node(src: _Lines, field: PrimeField, a: int, b: int, c: int):
             raise ParseError(f"rank {r} of a {h} x {h} block", no)
         P = _permutation(src, h)
         Q = _permutation(src, h)
-        lv = src.next_ints(h * r)
-        _check_residues(lv, field.p, src.pos)
-        uv = src.next_ints(r * h)
-        _check_residues(uv, field.p, src.pos)
-        L = np.array(lv, dtype=np.int64).reshape(h, r)
-        U = np.array(uv, dtype=np.int64).reshape(r, h)
+        L = src.residues(field.p, h, r)
+        U = src.residues(field.p, r, h)
         if np.triu(L, 1).any() or (L.diagonal() != 1).any() \
                 or np.tril(U, -1).any() or not U.diagonal().all():
             raise ParseError("node factors are not unit lower and nonsingular "
@@ -336,8 +288,8 @@ def parse_tree(text: str) -> TreeGenerator:
     src = _Lines(text)
     n, p, leaf_size = _header(src, "TREE n p leaf")
     field = _field(p)
-    if n < 0:
-        raise ParseError(f"negative size {n}", 1)
+    if n < 0 or leaf_size < 1:
+        raise ParseError(f"size {n} below 0 or leaf size {leaf_size} below 1", 1)
     root = _parse_tree_node(src, field, n, n, n - 2)
     src.end()
     return TreeGenerator(n, root, field, leaf_size)

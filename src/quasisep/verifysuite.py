@@ -22,8 +22,8 @@ from .generators import (compact_bruhat, lt_bruhat, qs_from_dense,
 from .orders import (lt_rpm, qs_order, qs_order_bruteforce,
                      qs_orders_bruteforce, quasiseparable_orders)
 from .pluq import check_pluq_structure, pluq_rpm, rpm_bruteforce, rpm_from_pluq
-from .structops import (matvec_bruhat, matvec_qs, mul_lt_lt, mul_qs_qs,
-                        qs_to_dense, reconstruct)
+from .structops import (matvec_bruhat, matvec_qs, mul_lt_by_flat, mul_lt_lt,
+                        mul_qs_qs, qs_to_dense, reconstruct)
 from .textio import format_generator, parse_generator
 
 FIELD = PrimeField(65521)
@@ -167,7 +167,7 @@ def _check_mul_lt(rng, trial):
     gA = tree_generator(A, FIELD)
     gB = tree_generator(B, FIELD)
     return (np.array_equal(mul_lt_lt(gA, gB), mat_mul(A, B, FIELD))
-            and np.array_equal(mul_lt_lt(gA, gB, middle_reversed=True),
+            and np.array_equal(mul_lt_by_flat(gA, reconstruct(gB)[::-1]),
                                mat_mul(A, reverse_rows(B), FIELD)))
 
 

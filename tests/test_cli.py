@@ -189,9 +189,12 @@ def test_corrupted_compact_and_headers(tmp_path):
         with pytest.raises(ValueError):
             read_generator(path)
     # value corruption inside a diagonal block: legal but changes the matrix
+    # (entry (1, 0) of the first D block, inside the first pivot's segment;
+    # entry (0, 0) is that segment's leading 1)
     lines = text.splitlines()
     dvals = lines[3].split()
-    dvals[0] = str((int(dvals[0]) + 1) % 65521)
+    w = good.lower.diag_blocks[0].shape[1]
+    dvals[w] = str((int(dvals[w]) + 1) % 65521)
     path.write_text("\n".join(lines[:3] + [" ".join(dvals)] + lines[4:]) + "\n")
     corrupted = read_generator(path)
     assert not np.array_equal(reconstruct(corrupted), reconstruct(good))

@@ -161,7 +161,7 @@ def test_mul_lt_lt_oracle_both_modes():
             B = random_left_triangular(n, 4, int(rng.integers(0, 2**31)), f)
             gA, gB = tree_generator(A, f), tree_generator(B, f)
             assert np.array_equal(mul_lt_lt(gA, gB), mat_mul(A, B, f))
-            assert np.array_equal(mul_lt_lt(gA, gB, middle_reversed=True),
+            assert np.array_equal(mul_lt_by_flat(gA, reconstruct(gB)[::-1]),
                                   mat_mul(A, reverse_rows(B), f))
 
 
@@ -171,7 +171,7 @@ def test_mul_lt_lt_pow2_sizes():
     B = random_left_triangular(64, 4, 21, F65521)
     gA, gB = tree_generator(A, F65521), tree_generator(B, F65521)
     assert np.array_equal(mul_lt_lt(gA, gB), mat_mul(A, B, F65521))
-    assert np.array_equal(mul_lt_lt(gA, gB, middle_reversed=True),
+    assert np.array_equal(mul_lt_by_flat(gA, reconstruct(gB)[::-1]),
                           mat_mul(A, reverse_rows(B), F65521))
 
 

@@ -239,3 +239,86 @@ def test_matrix_text_rejects_trailing_content():
                  "2 2 5\n1 2\n3 4\n\n", "-1 2 5\n", "2 -1 5\n\n\n"):
         with pytest.raises(ParseError):
             parse_matrix(text)
+
+
+def test_compact_zeroed_leading_entries_raise_parse_error():
+    # a lower segment's leading 1 (first D entry of the lower side) or an
+    # upper segment's leading nonzero (first D entry of the upper side,
+    # line 2 t + 5) set to 0 used to parse and reconstruct another matrix
+    g = lt_bruhat(random_left_triangular(12, 2, 3, F65521), F65521)
+    text = format_compact(compact_bruhat(g, 2))
+    lines = text.splitlines()
+    t = int(lines[0].split()[5])
+    for at in (3, 2 * t + 5):
+        vals = lines[at].split()
+        assert vals[0] != "0"
+        vals[0] = "0"
+        with pytest.raises(ParseError):
+            parse_generator("\n".join(lines[:at] + [" ".join(vals)] + lines[at + 1:]) + "\n")
+
+
+def test_bruhat_invalid_structure_raises_parse_error():
+    # pivots in one row, and a lower segment that does not lead with 1,
+    # used to raise a bare ValueError
+    for text in ("BRUHAT 4 5 2\n0 0\n1 2 3\n1 1 1\n0 1\n1 2\n1 1\n",
+                 "BRUHAT 4 5 1\n0 0\n2 2 3\n1 1 1\n"):
+        with pytest.raises(ParseError):
+            parse_generator(text)
+
+
+def test_integers_beyond_int64_raise_parse_error():
+    # a permutation or relocation entry past int64 raised a bare OverflowError
+    A = random_left_triangular(12, 2, 3, F65521)
+    g = lt_bruhat(A, F65521)
+    compact = format_compact(compact_bruhat(g, 2)).splitlines()
+    tree = format_tree(tree_generator(A, F65521)).splitlines()
+    t = int(compact[0].split()[5])
+    for lines, at in ((compact, 1), (compact, 2 * t + 2), (compact, -1), (tree, 2)):
+        for big in (str(2**70), str(-2**70)):
+            bad = list(lines)
+            bad[at] = " ".join([big] + bad[at].split()[1:])
+            with pytest.raises(ParseError):
+                parse_generator("\n".join(bad) + "\n")
+
+
+def test_tree_header_leaf_size_below_one():
+    _, text = _tree_text(8)
+    for leaf in ("0", "-7"):
+        with pytest.raises(ParseError):
+            parse_tree(text.replace("TREE 8 65521 4", f"TREE 8 65521 {leaf}", 1))
+
+
+def _token_mutations(text):
+    """text with one integer token set to 0, 1 or its value plus one."""
+    lines = text.split("\n")
+    for a, line in enumerate(lines):
+        tok = line.split(" ")
+        for k, v in enumerate(tok):
+            if not v.lstrip("-").isdigit():
+                continue
+            for new in sorted({"0", "1", str(int(v) + 1)} - {v}):
+                yield "\n".join(lines[:a] + [" ".join(tok[:k] + [new] + tok[k + 1:])]
+                                + lines[a + 1:])
+
+
+def test_single_token_mutations_raise_parse_error_or_validate():
+    from util import F2, high_rank_left_triangular
+    texts = []
+    for A, f, s in ((random_left_triangular(12, 2, 3, F65521), F65521, 2),
+                    (high_rank_left_triangular(14, 1, 2, 1, F65521), F65521, 3),
+                    (high_rank_left_triangular(10, 2, 2, 4, F2), F2, 3)):
+        g = lt_bruhat(A, f)
+        texts += [format_bruhat(g), format_compact(compact_bruhat(g, s))]
+    texts.append(_tree_text(9)[1])
+    assert "COMPACT 14 65521 3 11 4" in texts[3]        # relocations chain: 6 <- 3 <- 0
+    count = 0
+    for text in texts:
+        for bad in _token_mutations(text):
+            count += 1
+            try:
+                g = parse_generator(bad)
+            except ParseError:
+                continue
+            if not bad.startswith("TREE"):
+                g.validate()
+    assert count > 300
