@@ -31,13 +31,50 @@ def test_tree_singleton_is_zero_leaf():
 
 
 def test_tree_two_by_two_node():
-    A = mat(F5, [[3, 0], [0, 0]])
+    # the 1 x 1 factored block is zero, so the rank-0 node keeps its split
+    A = mat(F5, [[0, 0], [0, 0]])
     g = tree_generator(A, F5, leaf_size=1)
     assert isinstance(g.root, TreeNode)
-    assert g.root.pluq.r == 1
+    assert (g.root.pluq.m, g.root.pluq.r) == (1, 0)
     assert isinstance(g.root.top_right, TreeLeaf)
     assert isinstance(g.root.bottom_left, TreeLeaf)
     assert np.array_equal(reconstruct(g), A)
+
+
+def test_tree_full_rank_node_collapses_to_one_leaf():
+    # a full-rank 1 x 1 factored block with two leaf children: one 2 x 2 leaf
+    A = mat(F5, [[3, 0], [0, 0]])
+    g = tree_generator(A, F5, leaf_size=1)
+    assert isinstance(g.root, TreeLeaf)
+    assert np.array_equal(g.root.block, A)
+    assert g.stored_elements() == 1
+
+
+def test_tree_rank_deficient_node_stays_a_node():
+    # rank 1 on the 3 x 3 factored block keeps the root a node; its two
+    # children, full rank all the way down, each collapse to one leaf
+    A = random_left_triangular(6, 1, 5, F65521)
+    g = tree_generator(A, F65521, leaf_size=1)
+    assert isinstance(g.root, TreeNode)
+    assert (g.root.pluq.m, g.root.pluq.r) == (3, 1)
+    assert g.root.top_right.block.shape == g.root.bottom_left.block.shape == (3, 3)
+    assert np.array_equal(reconstruct(g), A)
+
+
+def test_tree_leaf_blocks_are_copies():
+    A = random_left_triangular(16, 4, 2, F65521)
+    g = tree_generator(A, F65521)
+    leaves, todo = [], [g.root]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, TreeLeaf):
+            leaves.append(node.block)
+        else:
+            todo += [node.top_right, node.bottom_left]
+    assert all(b.flags.owndata and not np.shares_memory(b, A) for b in leaves)
+    before = reconstruct(g)
+    A[0, 0] = (A[0, 0] + 1) % F65521.p
+    assert np.array_equal(reconstruct(g), before)
 
 
 def _shape(node):
@@ -49,10 +86,11 @@ def _shape(node):
 
 def test_tree_five_by_five_splits_at_two():
     # region i + j <= 3: the largest square inside it is 2 x 2, so the
-    # children are the 2 x 3 top-right and 3 x 2 bottom-left blocks
-    A = random_left_triangular(5, 2, 11, F65521)
+    # children are the 2 x 3 top-right and 3 x 2 bottom-left blocks; at
+    # rank 1 that block is rank deficient, so the root stays a node
+    A = random_left_triangular(5, 1, 11, F65521)
     g = tree_generator(A, F65521, leaf_size=1)
-    assert (g.root.pluq.m, g.root.pluq.n) == (2, 2)
+    assert (g.root.pluq.m, g.root.pluq.n, g.root.pluq.r) == (2, 2, 1)
     assert _shape(g.root.top_right) == (2, 3)
     assert _shape(g.root.bottom_left) == (3, 2)
     assert _shape(g.root) == (5, 5)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from quasisep import PrimeField
+from quasisep import PrimeField, rank
 
 
 def schoolbook_mul(A, B, field):
@@ -110,6 +110,20 @@ def structured_corpus(fields, sizes):
             T, _ = random_invertible_tridiagonal(n, n + 2, f)
             yield f, np.tril(T, -1)[::-1].copy()
             yield f, np.triu(T, 1)[:, ::-1].copy()
+
+
+def split_tree_storage(A, field, leaf_size=4):
+    """Stored count of the tree that splits every block wider than
+    leaf_size: 2hr - r**2 per node of rank r on its h x h block, and the
+    left-region slots of each leaf."""
+    def walk(B, c):
+        a, b = B.shape
+        if max(a, b) <= leaf_size:
+            return int((np.add.outer(np.arange(a), np.arange(b)) <= c).sum())
+        h = (c + 2) // 2
+        r = rank(B[:h, :h], field)
+        return 2 * h * r - r * r + walk(B[:h, h:], c - h) + walk(B[h:, :h], c - h)
+    return walk(np.asarray(A) % field.p, A.shape[0] - 2)
 
 
 # sizes around one and two elimination base blocks, and one past them
