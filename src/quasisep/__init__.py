@@ -7,8 +7,7 @@ from .field import (OpCounter, Permutation, PrimeField, is_left_triangular,
 from .generators import (BruhatGenerator, CompactBruhatGenerator,
                          CompactEchelon, CompressionError, QsMatrix,
                          TreeGenerator, compact_bruhat, compact_to_bruhat,
-                         compress_echelon, compress_echelon_upper,
-                         decompress_echelon, lt_bruhat, qs_from_dense,
+                         compress_echelon, lt_bruhat, qs_from_dense,
                          random_left_triangular, random_qs, tree_generator)
 from .orders import (QsOrders, lt_rpm, qs_order, qs_order_bruteforce,
                      qs_orders_bruteforce, quasiseparable_orders)
@@ -24,9 +23,8 @@ __all__ = [
     "CompressionError", "OpCounter", "Permutation", "PluqDecomposition",
     "PrimeField", "QsMatrix", "QsOrders", "RankProfileMatrix",
     "TreeGenerator", "check_pluq_structure", "compact_bruhat", "compact_to_bruhat",
-    "compress_echelon", "compress_echelon_upper", "decompress_echelon",
-    "is_left_triangular", "left_part", "lt_bruhat", "lt_rpm", "mat",
-    "mat_mul", "mat_vec", "matvec_bruhat", "matvec_qs", "matvec_tree",
+    "compress_echelon", "is_left_triangular", "left_part", "lt_bruhat", "lt_rpm",
+    "mat", "mat_mul", "mat_vec", "matvec_bruhat", "matvec_qs", "matvec_tree",
     "mul_lt_by_flat", "mul_lt_lt", "mul_qs_qs", "pluq_rpm", "qs_from_dense",
     "qs_order", "qs_order_bruteforce", "qs_orders_bruteforce", "qs_to_dense",
     "quasiseparable_orders", "random_left_triangular", "random_matrix",

@@ -9,41 +9,20 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import verifysuite
 from .field import (OpCounter, PrimeField, rank, reverse_cols, reverse_rows,
                     strict_lower, strict_upper)
-from .generators import (compact_bruhat, lt_bruhat, random_qs, tree_generator)
-from .orders import lt_rpm, qs_order, qs_order_bruteforce
+from .generators import (REP_KINDS, _represent, compact_bruhat, lt_bruhat,
+                         random_qs, tree_generator)
+from .orders import lt_rpm, qs_order
 from .structops import mul_lt_lt
 from .textio import ParseError, read_matrix, write_generator, write_matrix
 
-ORACLE_CUTOFF = 64
 BENCH_HEADER = "algo,n,s_target,s_actual,p,seed,adds,muls,invs,wall_ns,stored_elems"
 BENCH_ALGOS = ("lt_rpm", "bruhat", "tree", "compact", "mul_lt_lt")
-
-
-@dataclass
-class BenchRecord:
-    algo: str
-    n: int
-    s_target: int
-    s_actual: int
-    p: int
-    seed: int
-    adds: int
-    muls: int
-    invs: int
-    wall_ns: int
-    stored_elems: int
-
-    def to_csv(self) -> str:
-        return (f"{self.algo},{self.n},{self.s_target},{self.s_actual},"
-                f"{self.p},{self.seed},{self.adds},{self.muls},{self.invs},"
-                f"{self.wall_ns},{self.stored_elems}")
 
 
 def cmd_generate(args) -> int:
@@ -51,12 +30,6 @@ def cmd_generate(args) -> int:
     M = random_qs(args.n, args.rl, args.ru, args.seed, field)
     write_matrix(args.out, M, field)
     return 0
-
-
-def _actual_order(A: np.ndarray, field: PrimeField) -> int:
-    if A.shape[0] <= ORACLE_CUTOFF:
-        return qs_order_bruteforce(A, field)
-    return qs_order(lt_rpm(A, field).pivots, A.shape[0])
 
 
 def cmd_analyze(args) -> int:
@@ -133,10 +106,11 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _bench_cell(algo: str, n: int, s: int, field: PrimeField, seed: int) -> BenchRecord:
+def _bench_cell(algo: str, n: int, s: int, field: PrimeField, seed: int) -> tuple:
+    """One CSV row, in BENCH_HEADER's order."""
     M = random_qs(n, s, s, seed, field)
     A = reverse_rows(strict_lower(M))
-    s_actual = _actual_order(A, field)
+    s_actual = qs_order(lt_rpm(A, field).pivots, n)
     counter = OpCounter()
     stored = 0
     if algo == "mul_lt_lt":
@@ -144,27 +118,18 @@ def _bench_cell(algo: str, n: int, s: int, field: PrimeField, seed: int) -> Benc
         gB = tree_generator(reverse_cols(strict_upper(M)), field)
         t0 = time.perf_counter_ns()
         mul_lt_lt(gA, gB, counter)
-        wall = time.perf_counter_ns() - t0
         stored = n * n
-    else:
+    elif algo == "lt_rpm":
         t0 = time.perf_counter_ns()
-        if algo == "lt_rpm":
-            lt_rpm(A, field, counter)
-        elif algo == "bruhat":
-            g = lt_bruhat(A, field, counter)
-            stored = g.stored_elements()
-        elif algo == "tree":
-            g = tree_generator(A, field, counter)
-            stored = g.stored_elements()
-        elif algo == "compact":
-            g = lt_bruhat(A, field, counter)
-            cb = compact_bruhat(g, max(qs_order(g.pivots, n), 0))
-            stored = cb.stored_elements()
-        else:
-            raise ValueError(f"unknown algo {algo!r}")
-        wall = time.perf_counter_ns() - t0
-    return BenchRecord(algo, n, s, s_actual, field.p, seed,
-                       counter.adds, counter.muls, counter.invs, wall, stored)
+        lt_rpm(A, field, counter)
+    elif algo in REP_KINDS:
+        t0 = time.perf_counter_ns()
+        stored = _represent(A, algo, field, counter).stored_elements()
+    else:
+        raise ValueError(f"unknown algo {algo!r}")
+    wall = time.perf_counter_ns() - t0
+    return (algo, n, s, s_actual, field.p, seed,
+            counter.adds, counter.muls, counter.invs, wall, stored)
 
 
 def cmd_bench(args) -> int:
@@ -178,8 +143,8 @@ def cmd_bench(args) -> int:
         rows.append(_bench_cell(a, n, s, field, args.seed + idx))
     with open(args.csv, "w", newline="\n") as f:
         f.write(BENCH_HEADER + "\n")
-        for rec in rows:
-            f.write(rec.to_csv() + "\n")
+        for row in rows:
+            f.write(",".join(map(str, row)) + "\n")
     print(f"wrote {args.csv} ({len(rows)} rows)")
     return 0
 

@@ -51,26 +51,11 @@ class PrimeField:
     def __hash__(self) -> int:
         return hash(("PrimeField", self.p))
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def reduce(self, A: np.ndarray) -> np.ndarray:
-        return np.asarray(A, dtype=np.int64) % self.p
 
 
 @dataclass
@@ -86,14 +71,6 @@ class OpCounter:
         self.muls += m * k * n
         self.adds += m * n * max(k - 1, 0)
 
-    def merge(self, other: "OpCounter") -> None:
-        self.adds += other.adds
-        self.muls += other.muls
-        self.invs += other.invs
-
-    def total(self) -> int:
-        return self.adds + self.muls + self.invs
-
 
 class Permutation:
     """Permutation of {0..n-1}, as the 0/1 matrix with a 1 at (img[j], j)."""
@@ -106,10 +83,6 @@ class Permutation:
         if n and (np.sort(img) != np.arange(n)).any():
             raise ValueError("permutation image is not a bijection")
         self.img = img
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(np.arange(n, dtype=np.int64))
 
     def __len__(self) -> int:
         return self.img.shape[0]
@@ -124,13 +97,6 @@ class Permutation:
         inv = np.empty_like(self.img)
         inv[self.img] = np.arange(len(self), dtype=np.int64)
         return Permutation(inv)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Matrix product self * other."""
-        return Permutation(self.img[other.img])
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.img, np.arange(len(self))))
 
     # In every helper below, self plays the role of its permutation matrix M.
 
@@ -154,16 +120,10 @@ class Permutation:
         out[:, self.img] = A
         return out
 
-    def to_matrix(self) -> np.ndarray:
-        n = len(self)
-        M = np.zeros((n, n), dtype=np.int64)
-        M[self.img, np.arange(n)] = 1
-        return M
-
 
 def mat(field: PrimeField, rows) -> np.ndarray:
     """Build a reduced int64 matrix from nested lists (test/CLI convenience)."""
-    return field.reduce(np.array(rows, dtype=np.int64))
+    return np.array(rows, dtype=np.int64) % field.p
 
 
 def residues(A, field: PrimeField) -> np.ndarray:

@@ -179,18 +179,6 @@ class BruhatGenerator:
     def nnz_upper(self) -> int:
         return int(sum(np.count_nonzero(s) for s in self.upper_segs))
 
-    def dense_l(self) -> np.ndarray:
-        L = np.zeros((self.n, self.n), dtype=np.int64)
-        for (i, j), seg in zip(self.pivots, self.lower_segs):
-            L[i:i + len(seg), j] = seg
-        return L
-
-    def dense_u(self) -> np.ndarray:
-        U = np.zeros((self.n, self.n), dtype=np.int64)
-        for (i, j), seg in zip(self.pivots, self.upper_segs):
-            U[i, j:j + len(seg)] = seg
-        return U
-
     def validate(self) -> None:
         if sorted(self.pivots) != self.pivots:
             raise ValueError("pivots must be sorted by row")
@@ -358,7 +346,9 @@ def _blocks(c: CompactEchelon, lead: list, seg: list) -> tuple:
 
 
 def _segments(c: CompactEchelon, tops) -> list:
-    """Inverse of `_blocks`: c's segments in echelon order, q's from row tops[q]."""
+    """Inverse of `_blocks`: c's segments in echelon order, q's from row tops[q].
+    A loaded file can put a pivot past the left region; its segment is
+    empty, so that `BruhatGenerator.validate` names the fault."""
     segs = [np.zeros(max(c.n - 1 - j - top, 0), dtype=np.int64)
             for j, top in zip(c.ech_cols.tolist(), tops)]
     blocks = c.diag_blocks + c.sub_blocks
@@ -367,17 +357,9 @@ def _segments(c: CompactEchelon, tops) -> list:
     return segs
 
 
-def decompress_echelon(c: CompactEchelon) -> np.ndarray:
-    """Exact inverse of the compression: the dense L (or U) factor."""
-    out = np.zeros((c.n, c.n), dtype=np.int64)
-    cols = out.T if c.transposed else out    # the columns of U^T are U's rows
-    for seg, j in zip(_segments(c, [0] * c.r), c.ech_cols.tolist()):
-        cols[:len(seg), j] = seg
-    return out
-
-
-def _compress_columns(g: BruhatGenerator, s: int, transposed: bool) -> CompactEchelon:
-    """Pack the columns of L (or of U^T) in lead order straight from g's segments."""
+def compress_echelon(g: BruhatGenerator, s: int, transposed: bool = False) -> CompactEchelon:
+    """Compress the lower factor of g with block width s, or U^T when
+    `transposed`: pack its columns in lead order straight from g's segments."""
     n, r = g.n, g.rank
     pairs = [(j, i) for i, j in g.pivots] if transposed else g.pivots
     order = sorted(range(r), key=lambda k: pairs[k][0])
@@ -413,16 +395,6 @@ def _compress_columns(g: BruhatGenerator, s: int, transposed: bool) -> CompactEc
                        [starts[b + 1] - starts[b] for b in range(t)], [], [], src_map)
     c.diag_blocks, c.sub_blocks = _blocks(c, lead, seg)
     return c
-
-
-def compress_echelon(g: BruhatGenerator, s: int) -> CompactEchelon:
-    """Compress the lower factor of a Bruhat generator with block width s."""
-    return _compress_columns(g, s, False)
-
-
-def compress_echelon_upper(g: BruhatGenerator, s: int) -> CompactEchelon:
-    """Same compression run on U^T; the result is flagged transposed."""
-    return _compress_columns(g, s, True)
 
 
 @dataclass
@@ -468,7 +440,7 @@ class CompactBruhatGenerator:
 def compact_bruhat(g: BruhatGenerator, s: int) -> CompactBruhatGenerator:
     """Compact Bruhat generator: both compressed sides plus the pivot link R."""
     lower = compress_echelon(g, s)
-    upper = compress_echelon_upper(g, s)
+    upper = compress_echelon(g, s, transposed=True)
     by_col = sorted(range(g.rank), key=lambda k: g.pivots[k][1])
     return CompactBruhatGenerator(g.n, s, g.field, lower, upper, Permutation(by_col))
 
@@ -536,7 +508,7 @@ class QsMatrix:
 
 
 def _represent(A: np.ndarray, kind: str, field: PrimeField,
-               counter: OpCounter | None):
+               counter: OpCounter | None = None):
     if kind == "tree":
         return tree_generator(A, field, counter)
     g = lt_bruhat(A, field, counter)

@@ -50,9 +50,6 @@ class RankProfileMatrix:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def pivots_one_based(self) -> list:
-        return [(i + 1, j + 1) for i, j in self.pivots]
-
     def left_part(self) -> "RankProfileMatrix":
         """Pivots with i + j <= n (1-based), the left triangular region."""
         keep = [(i, j) for i, j in self.pivots if i + j <= self.n - 2]

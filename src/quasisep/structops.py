@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import (OpCounter, PrimeField, mat_mul, reverse_cols,
+from .field import (OpCounter, PrimeField, mat_mul, residues, reverse_cols,
                     reverse_rows)
 from .generators import (BruhatGenerator, CompactBruhatGenerator, QsMatrix,
                          TreeGenerator, TreeLeaf, bruhat_reconstruct,
@@ -98,17 +98,17 @@ def matvec_tree(g: TreeGenerator, x: np.ndarray,
     x = np.asarray(x, dtype=np.int64) % g.field.p
     if x.shape != (g.n,):
         raise ValueError("vector length mismatch")
-    return mul_lt_by_flat(g, x[:, None], counter)[:, 0]
+    return _times_tall(g.root, x[:, None], g.field, counter)[:, 0]
 
 
 def _rep_times(rep, X: np.ndarray, counter: OpCounter | None) -> np.ndarray:
-    """rep @ X.  A vector goes through the public matvecs, a block straight
-    to the tree recursion or the Bruhat kernel."""
+    """rep @ X for a reduced X.  A vector goes through the public matvecs,
+    a block straight to the tree recursion or the Bruhat kernel."""
     if isinstance(rep, CompactBruhatGenerator):
         rep = compact_to_bruhat(rep)
     if isinstance(rep, TreeGenerator):
         return matvec_tree(rep, X, counter) if X.ndim == 1 \
-            else mul_lt_by_flat(rep, X, counter)
+            else _times_tall(rep.root, X, rep.field, counter)
     if isinstance(rep, BruhatGenerator):
         return matvec_bruhat(rep, X, counter) if X.ndim == 1 \
             else _bruhat_apply(rep, X, counter)
@@ -155,10 +155,11 @@ def _times_tall(node, F: np.ndarray, field: PrimeField,
 
 def mul_lt_by_flat(g: TreeGenerator, F: np.ndarray,
                    counter: OpCounter | None = None) -> np.ndarray:
-    """reconstruct(g) @ F for a tall F."""
+    """reconstruct(g) @ F for a tall F, reduced first unless it already
+    holds residues (`_times_tall` is exact only on reduced operands)."""
     if F.shape[0] != g.n:
         raise ValueError("dimension mismatch in mul_lt_by_flat")
-    return _times_tall(g.root, np.asarray(F, dtype=np.int64), g.field, counter)
+    return _times_tall(g.root, residues(F, g.field), g.field, counter)
 
 
 def mul_lt_lt(gA: TreeGenerator, gB: TreeGenerator,
@@ -169,7 +170,7 @@ def mul_lt_lt(gA: TreeGenerator, gB: TreeGenerator,
         raise ValueError("size mismatch in mul_lt_lt")
     if gA.field != gB.field:
         raise ValueError("field mismatch in mul_lt_lt")
-    return mul_lt_by_flat(gA, reconstruct(gB, counter), counter)
+    return _times_tall(gA.root, reconstruct(gB, counter), gA.field, counter)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .field import (OpCounter, PrimeField, left_part, mat_mul, mat_vec,
                     random_matrix, reverse_rows)
-from .generators import (compact_bruhat, lt_bruhat, qs_from_dense,
+from .generators import (REP_KINDS, _represent, lt_bruhat, qs_from_dense,
                          random_left_triangular, random_qs, tree_generator)
 from .orders import (lt_rpm, qs_order, qs_order_bruteforce,
                      qs_orders_bruteforce, quasiseparable_orders)
@@ -118,8 +118,7 @@ def _check_compact(rng, trial):
         A = _banded_left_triangular(n, 2, 2, _seed(rng))
     else:
         A = _low_order(rng, n)
-    g = lt_bruhat(A, FIELD)
-    cb = compact_bruhat(g, max(qs_order(g.pivots, n), 0))
+    cb = _represent(A, "compact", FIELD)
     return (np.array_equal(reconstruct(cb), A)
             and all(k >= w for k, w in zip(cb.lower.block_rows, cb.lower.widths)))
 
@@ -130,12 +129,9 @@ def _check_tree(rng, trial):
 
 
 def _check_serialization(rng, trial):
-    n = int(rng.integers(2, 24))
-    A = _low_order(rng, n)
-    g = lt_bruhat(A, FIELD)
-    return all(np.array_equal(reconstruct(parse_generator(format_generator(rep))), A)
-               for rep in (g, compact_bruhat(g, max(qs_order(g.pivots, n), 0)),
-                           tree_generator(A, FIELD)))
+    A = _low_order(rng, int(rng.integers(2, 24)))
+    return all(np.array_equal(reconstruct(parse_generator(format_generator(
+        _represent(A, kind, FIELD)))), A) for kind in REP_KINDS)
 
 
 def _check_matvec(rng, trial):
@@ -144,7 +140,7 @@ def _check_matvec(rng, trial):
     x = rng.integers(0, FIELD.p, n, dtype=np.int64)
     want = mat_vec(M, x, FIELD)
     return all(np.array_equal(matvec_qs(qs_from_dense(M, kind, FIELD), x), want)
-               for kind in ("tree", "bruhat", "compact"))
+               for kind in REP_KINDS)
 
 
 def _check_matvec_cost(rng, trial):

@@ -14,16 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from quasisep import (OpCounter, check_pluq_structure, compact_bruhat,
-                      compress_echelon, decompress_echelon, lt_bruhat, lt_rpm,
-                      mat, mat_mul, mat_vec, matvec_bruhat, matvec_qs,
-                      mul_lt_lt, mul_qs_qs, pluq_rpm, qs_from_dense, qs_order,
+                      compress_echelon, lt_bruhat, lt_rpm, mat, mat_mul,
+                      mat_vec, matvec_bruhat, matvec_qs, mul_lt_lt, mul_qs_qs,
+                      pluq_rpm, qs_from_dense, qs_order,
                       qs_order_bruteforce, qs_orders_bruteforce,
                       random_left_triangular, random_matrix, random_qs, rank,
                       reconstruct, rpm_bruteforce, rpm_from_pluq,
                       tree_generator)
 from quasisep.cli import BENCH_HEADER
 
-from util import (F2, F3, F5, F65521, high_rank_left_triangular,
+from util import (F2, F3, F5, F65521, decode_compact_side, dense_factor,
+                  high_rank_left_triangular, one_based,
                   superdiagonal_above_antidiagonal)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,8 +55,8 @@ def test_criterion_1_rpm_worked_example():
     A = mat(F5, [[1, 1, 0], [1, 0, 0], [0, 0, 0]])
     rpm_from_pluq(pluq_rpm(A, F5))  # warm-up
     t0 = time.perf_counter_ns()
-    got_pluq = rpm_from_pluq(pluq_rpm(A, F5)).pivots_one_based()
-    got_brute = rpm_bruteforce(A, F5).pivots_one_based()
+    got_pluq = one_based(rpm_from_pluq(pluq_rpm(A, F5)))
+    got_brute = one_based(rpm_bruteforce(A, F5))
     elapsed = time.perf_counter_ns() - t0
     assert got_pluq == [(1, 1), (2, 2)]
     assert got_brute == [(1, 1), (2, 2)]
@@ -144,7 +145,7 @@ def test_criterion_6_compact_bruhat():
             continue
         ce = compress_echelon(g, s)
         deepest = max(deepest, ce.t)
-        assert np.array_equal(decompress_echelon(ce), g.dense_l())
+        assert np.array_equal(decode_compact_side(ce), dense_factor(g))
         widths = ce.widths
         for b, k in enumerate(ce.block_rows):
             assert k >= widths[b]

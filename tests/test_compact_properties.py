@@ -6,11 +6,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from quasisep import (PrimeField, compact_bruhat, compact_to_bruhat,
-                      decompress_echelon, lt_bruhat, qs_order,
-                      random_left_triangular)
+                      lt_bruhat, qs_order, random_left_triangular)
 from quasisep.textio import format_compact, parse_compact
 
-from util import structured_corpus
+from util import decode_compact_side, dense_factor, structured_corpus
 
 FIELDS = [PrimeField(p) for p in (2, 3, 65521, 2**31 - 1)]
 
@@ -42,8 +41,8 @@ def test_compact_round_trip(case):
     for got, seg in zip(back.lower_segs + back.upper_segs,
                         g.lower_segs + g.upper_segs):
         assert np.array_equal(got, seg)
-    assert np.array_equal(decompress_echelon(cb.lower), g.dense_l())
-    assert np.array_equal(decompress_echelon(cb.upper), g.dense_u())
+    assert np.array_equal(decode_compact_side(cb.lower), dense_factor(g))
+    assert np.array_equal(decode_compact_side(cb.upper), dense_factor(g, upper=True))
     text = format_compact(cb)
     assert format_compact(parse_compact(text)) == text
     for side in (cb.lower, cb.upper):

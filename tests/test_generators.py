@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from quasisep import (CompressionError, OpCounter, compact_bruhat,
-                      compact_to_bruhat, compress_echelon,
-                      compress_echelon_upper, decompress_echelon,
-                      is_left_triangular, left_part, lt_bruhat, lt_rpm, mat,
+                      compact_to_bruhat, compress_echelon, is_left_triangular,
+                      left_part, lt_bruhat, lt_rpm, mat,
                       qs_from_dense, qs_order, qs_order_bruteforce,
                       qs_orders_bruteforce, qs_to_dense, random_left_triangular,
                       random_matrix, random_qs, reconstruct, rpm_bruteforce,
@@ -14,7 +13,8 @@ from quasisep import (CompressionError, OpCounter, compact_bruhat,
 from quasisep import orders
 from quasisep.generators import TreeLeaf, TreeNode
 
-from util import BASE_SIZES, F2, F5, F65521, F2147483647
+from util import (BASE_SIZES, F2, F5, F65521, F2147483647, decode_compact_side,
+                  dense_factor)
 
 # edges of the modulus range at sizes from 1 up to past a power of two
 EDGE_CASES = [(f, n) for f in (F2, F2147483647) for n in (1, 2, 7, 16, 33)]
@@ -228,7 +228,7 @@ def test_bruhat_size_and_disjoint_support():
         assert g.stored_elements() <= 2 * s * (n - s)
         # segment supports live on pivot columns/rows, hence are disjoint
         # as positions except at the shared pivot, where L holds the 1
-        Ld, Ud = g.dense_l(), g.dense_u()
+        Ld, Ud = dense_factor(g), dense_factor(g, upper=True)
         overlap = (Ld != 0) & (Ud != 0)
         pivot_mask = np.zeros_like(overlap)
         for i, j in g.pivots:
@@ -251,9 +251,9 @@ def test_bruhat_factors_match_direct_pluq():
         Lx[:, :d.r] = d.L
         Ux = np.zeros((n, n), dtype=np.int64)
         Ux[:d.r, :] = d.U
-        assert np.array_equal(g.dense_l(),
+        assert np.array_equal(dense_factor(g),
                               left_part(d.Q.apply_cols(d.P.apply_rows(Lx))))
-        assert np.array_equal(g.dense_u(),
+        assert np.array_equal(dense_factor(g, upper=True),
                               left_part(d.Q.apply_cols(d.P.apply_rows(Ux))))
 
 
@@ -292,7 +292,7 @@ def test_compress_rank_at_most_s():
     assert ce.t == 1
     assert ce.sub_blocks == []
     assert ce.moves == []
-    assert np.array_equal(decompress_echelon(ce), g.dense_l())
+    assert np.array_equal(decode_compact_side(ce), dense_factor(g))
 
 
 def test_compress_echelon_roundtrip_and_blocks():
@@ -313,12 +313,12 @@ def test_compress_echelon_roundtrip_and_blocks():
         widths = ce.widths
         for b, k in enumerate(ce.block_rows):
             assert k >= widths[b]
-        assert np.array_equal(decompress_echelon(ce), g.dense_l())
+        assert np.array_equal(decode_compact_side(ce), dense_factor(g))
         # T: a column receives at most one parked payload
         targets = [t for t, _ in ce.moves]
         assert len(targets) == len(set(targets))
-        up = compress_echelon_upper(g, s)
-        assert np.array_equal(decompress_echelon(up), g.dense_u())
+        up = compress_echelon(g, s, transposed=True)
+        assert np.array_equal(decode_compact_side(up), dense_factor(g, upper=True))
 
 
 def test_compact_bruhat_reconstruction():
@@ -383,7 +383,7 @@ def test_compress_chained_moves():
         assert g.rank > 2 * s  # the regime this test is about
         ce = compress_echelon(g, s)
         assert ce.t >= 3
-        assert np.array_equal(decompress_echelon(ce), g.dense_l())
+        assert np.array_equal(decode_compact_side(ce), dense_factor(g))
         targets = set()
         for tgt, src in ce.moves:
             assert tgt not in targets  # each column parked into once
@@ -417,7 +417,7 @@ def test_compress_with_oversized_block_width():
         if width == 0:
             continue
         ce = compress_echelon(g, width)
-        assert np.array_equal(decompress_echelon(ce), g.dense_l())
+        assert np.array_equal(decode_compact_side(ce), dense_factor(g))
 
 
 def test_compact_block_storage_capacity():
@@ -457,8 +457,8 @@ def test_compress_below_the_order_still_exact_when_it_packs():
     assert qs_order(g.pivots, 70) == 3
     cb = compact_bruhat(g, 1)
     assert (24, 23) in cb.lower.moves
-    assert np.array_equal(decompress_echelon(cb.lower), g.dense_l())
-    assert np.array_equal(decompress_echelon(cb.upper), g.dense_u())
+    assert np.array_equal(decode_compact_side(cb.lower), dense_factor(g))
+    assert np.array_equal(decode_compact_side(cb.upper), dense_factor(g, upper=True))
     assert np.array_equal(reconstruct(cb), A)
 
 

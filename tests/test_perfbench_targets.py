@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from quasisep import qs_from_dense, random_qs
+from quasisep.generators import REP_KINDS
+from quasisep.textio import format_generator, parse_generator
 
 from util import F65521
 
@@ -42,3 +44,16 @@ def test_oracles_apply_every_kind():
         for kind in ("tree", "bruhat", "compact"):
             y = oracles.qs_apply(qs_from_dense(M, kind, F65521), x, p)
             assert np.array_equal(y, (M @ x) % p), (n, kind)
+
+
+def test_oracles_same_after_text_round_trip():
+    # the compress workload's serialize op compares parsed and built
+    # generators field by field with `oracles.same`
+    oracles = _load("oracles")
+    for n in (1, 37, 64):
+        s = min(3, n - 1)
+        M = random_qs(n, s, s, 17 + n, F65521)
+        for kind in REP_KINDS:
+            Q = qs_from_dense(M, kind, F65521)
+            for g in (Q.lower, Q.upper):
+                assert oracles.same(parse_generator(format_generator(g)), g), (n, kind)

@@ -9,7 +9,7 @@ from quasisep import (PrimeField, RankProfileMatrix, check_pluq_structure, mat,
                       rpm_from_pluq)
 from quasisep import pluq
 
-from util import F2, F3, F5, F65521, F2147483647
+from util import F2, F3, F5, F65521, F2147483647, one_based
 
 FIELDS = (F2, F3, F65521, F2147483647)
 KINDS = ("random", "low rank", "sparse", "top half zero")
@@ -18,14 +18,14 @@ KINDS = ("random", "low rank", "sparse", "top half zero")
 def test_worked_example_rpm():
     A = mat(F5, [[1, 1, 0], [1, 0, 0], [0, 0, 0]])
     d = pluq_rpm(A, F5)
-    assert rpm_from_pluq(d).pivots_one_based() == [(1, 1), (2, 2)]
-    assert rpm_bruteforce(A, F5).pivots_one_based() == [(1, 1), (2, 2)]
+    assert one_based(rpm_from_pluq(d)) == [(1, 1), (2, 2)]
+    assert one_based(rpm_bruteforce(A, F5)) == [(1, 1), (2, 2)]
 
 
 def test_zero_matrix():
     d = pluq_rpm(np.zeros((3, 4), dtype=np.int64), F5)
     assert d.r == 0
-    assert d.P.is_identity() and d.Q.is_identity()
+    assert np.array_equal(d.P.img, np.arange(3)) and np.array_equal(d.Q.img, np.arange(4))
     assert np.array_equal(d.reconstruct(), np.zeros((3, 4), dtype=np.int64))
     assert rpm_from_pluq(d).pivots == []
 
@@ -42,15 +42,15 @@ def test_rpm_from_synthetic_decomposition():
     from quasisep import Permutation, PluqDecomposition
     L = mat(F5, [[1, 0], [2, 1], [0, 3]])
     U = mat(F5, [[4, 1, 2], [0, 3, 1]])
-    d = PluqDecomposition(Permutation.identity(3), L, U,
-                          Permutation.identity(3), 2, F5)
-    assert rpm_from_pluq(d).pivots_one_based() == [(1, 1), (2, 2)]
+    d = PluqDecomposition(Permutation(np.arange(3)), L, U,
+                          Permutation(np.arange(3)), 2, F5)
+    assert one_based(rpm_from_pluq(d)) == [(1, 1), (2, 2)]
 
 
 def test_antidiagonal_rpm():
     A = mat(F5, [[0, 1], [1, 0]])
-    assert rpm_bruteforce(A, F5).pivots_one_based() == [(1, 2), (2, 1)]
-    assert rpm_from_pluq(pluq_rpm(A, F5)).pivots_one_based() == [(1, 2), (2, 1)]
+    assert one_based(rpm_bruteforce(A, F5)) == [(1, 2), (2, 1)]
+    assert one_based(rpm_from_pluq(pluq_rpm(A, F5))) == [(1, 2), (2, 1)]
 
 
 def test_random_matrices_against_oracle():

@@ -142,6 +142,18 @@ def test_mul_lt_by_flat():
         mul_lt_by_flat(g, np.zeros((5, 2), dtype=np.int64))
 
 
+def test_mul_lt_by_flat_reduces_unreduced_blocks():
+    # the kernels are exact on residues only: entries far below zero
+    # overflowed the int64 path at p = 2**31 - 1, and entries in [p, 2**31)
+    # broke the float64 path's exactness bound at n = 1024
+    for f, n, s, lo, hi in ((F2147483647, 8, 2, -2**40, -2**39),
+                            (F65521, 1024, 8, F65521.p, 2**31)):
+        A = random_left_triangular(n, s, 1, f)
+        X = np.random.default_rng(0).integers(lo, hi, (n, 3), dtype=np.int64)
+        assert np.array_equal(mul_lt_by_flat(tree_generator(A, f), X),
+                              mat_mul(A, X % f.p, f)), f
+
+
 def test_mul_lt_lt_trivial_cases():
     Z = np.zeros((4, 4), dtype=np.int64)
     gZ = tree_generator(Z, F5)

@@ -130,6 +130,14 @@ def test_compact_permutation_lines_raise_parse_error():
         parse_generator("\n".join(lines) + "\n")
 
 
+def test_compact_pivot_past_the_region_is_named():
+    # echelon orders that put the one pivot at (3, 3) of a 4 x 4 would give
+    # its segments a negative length; the loader names the pivot instead
+    text = "COMPACT 4 5 1 1 1\n3 1 2 0\n4\n1 0 0 0\n0\n3 1 2 0\n4\n1 0 0 0\n0\n0\n"
+    with pytest.raises(ParseError, match=r"pivot \(3, 3\) outside the left region"):
+        parse_generator(text)
+
+
 def _compact_lines():
     # s = 4, r = 36, t = 9: the lower side's src_map is line 2 t + 2
     from util import high_rank_left_triangular

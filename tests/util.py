@@ -1,8 +1,9 @@
 """Shared test helpers: independent dense oracles and instance builders."""
 
 import numpy as np
+from hypothesis import strategies as st
 
-from quasisep import PrimeField, rank
+from quasisep import PrimeField, left_part, random_left_triangular, rank
 
 
 def schoolbook_mul(A, B, field):
@@ -46,6 +47,63 @@ def inv_matrix(A, field):
             if r != j and W[r, j]:
                 W[r] = (W[r] - W[r, j] * W[j]) % p
     return W[:, n:]
+
+
+def one_based(rpm):
+    """Pivots of a RankProfileMatrix as 1-based (row, column) pairs."""
+    return [(i + 1, j + 1) for i, j in rpm.pivots]
+
+
+def permutation_matrix(P):
+    """The 0/1 matrix of a Permutation: a 1 at (P.img[j], j)."""
+    n = len(P)
+    M = np.zeros((n, n), dtype=np.int64)
+    M[P.img, np.arange(n)] = 1
+    return M
+
+
+def dense_factor(g, upper=False):
+    """The n x n L (or U) of a Bruhat generator, from its segments: pivot
+    (i, j) holds column j of L from row i on, and row i of U from column j on."""
+    F = np.zeros((g.n, g.n), dtype=np.int64)
+    for (i, j), lseg, useg in zip(g.pivots, g.lower_segs, g.upper_segs):
+        if upper:
+            F[i, j:j + len(useg)] = useg
+        else:
+            F[i:i + len(lseg), j] = lseg
+    return F
+
+
+def decode_compact_side(c):
+    """The dense L (or U, for the transposed side) that one COMPACT side
+    encodes, read as the README's format describes it.
+
+    Block row b spans k_b rows.  Column q of D_b holds echelon column q's
+    entries in block row b; column a of S_(b+1), for a in block column b,
+    holds entries in block row b + 1 of the column that a's relocation
+    chain starts from.  After every block is placed, each relocated column
+    hands what it holds back to its source, highest target first, so a
+    chain unwinds one link at a time.  Echelon column q is column
+    perm[q] of L, or of U^T on the transposed side.
+    """
+    n, s, r = c.n, c.s, len(c.src_map)
+    bounds = np.cumsum([0] + list(c.block_rows))
+    own = np.zeros((n, r), dtype=np.int64)       # what each D column holds
+    parked = np.zeros((n, r), dtype=np.int64)    # what each S column holds
+    first = 0
+    for b, D in enumerate(c.diag_blocks):
+        own[bounds[b]:bounds[b + 1], first:first + D.shape[1]] = D
+        first += D.shape[1]
+    for b, S in enumerate(c.sub_blocks):         # S_(b+2), under block column b
+        parked[bounds[b + 1]:bounds[b + 2], b * s:b * s + S.shape[1]] = S
+    for a in range(r - 1, -1, -1):
+        source = int(c.src_map[a])
+        if source != a:
+            parked[:, source] += parked[:, a]
+            parked[:, a] = 0
+    out = np.zeros((n, n), dtype=np.int64)
+    out[:, c.perm.img[:r]] = own + parked
+    return out.T if c.transposed else out
 
 
 def random_invertible_tridiagonal(n, seed, field):
@@ -134,3 +192,36 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F2147483647 = PrimeField(2**31 - 1)
+
+EDGE_FIELDS = (F2, F3, F65521, F2147483647)
+FAMILIES = ("random", "banded", "tridiagonal", "sparse", "corner", "zero")
+
+
+@st.composite
+def instances(draw):
+    """(field, A) for an n x n left triangular A, n <= 70, from one family,
+    at the small primes and at both ends of the modulus range."""
+    f = draw(st.sampled_from(EDGE_FIELDS))
+    n = draw(st.integers(0, 70))
+    family = draw(st.sampled_from(FAMILIES))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    if family == "random":
+        A = random_left_triangular(n, draw(st.integers(0, max(0, n - 1))), seed, f)
+    elif family == "banded":
+        A = high_rank_left_triangular(n, 0, draw(st.integers(1, 4)), seed, f)
+    elif family == "tridiagonal":   # J times the strict lower part of one
+        i = np.arange(max(n - 1, 0))
+        A = np.zeros((n, n), dtype=np.int64)
+        A[n - 2 - i, i] = rng.integers(1, f.p, len(i))
+    elif family == "sparse":
+        A = left_part(np.where(rng.random((n, n)) < 0.1,
+                               rng.integers(0, f.p, (n, n), dtype=np.int64), 0))
+    elif family == "corner":      # a rank-k block in the top-left corner
+        m = draw(st.integers(0, n))
+        A = np.zeros((n, n), dtype=np.int64)
+        A[:m, :m] = random_left_triangular(m, draw(st.integers(0, max(0, m - 1))), seed, f)
+        A = left_part(A)
+    else:
+        A = np.zeros((n, n), dtype=np.int64)
+    return f, A
