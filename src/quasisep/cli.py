@@ -140,6 +140,10 @@ def cmd_bench(args) -> int:
     cells = sorted((a, n, s) for a in algos for n in n_list for s in s_list)
     rows = []
     for idx, (a, n, s) in enumerate(cells):
+        if not 0 <= s < max(n, 1):   # random_qs has no such instance
+            print(f"skipped {a} n={n} s={s}: random_qs needs 0 <= s < max(n, 1)",
+                  file=sys.stderr)
+            continue
         rows.append(_bench_cell(a, n, s, field, args.seed + idx))
     with open(args.csv, "w", newline="\n") as f:
         f.write(BENCH_HEADER + "\n")

@@ -19,15 +19,35 @@ _FLOAT_MIN_WORK = 4096     # m*k*n where the float64 path starts to win
 
 
 def _is_prime(p: int) -> bool:
+    """Trial division below 2**16, where it takes at most 128 divisions
+    and allocates less than one modular power; above it, deterministic
+    Miller-Rabin: the bases 2, 7 and 61 decide every p < 4,759,123,141,
+    which covers the word range below 2**31."""
     if p < 2:
         return False
     if p % 2 == 0:
         return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p < 1 << 16:
+        d = 3
+        while d * d <= p:
+            if p % d == 0:
+                return False
+            d += 2
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 7, 61):
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -141,18 +161,23 @@ def random_matrix(rng: np.random.Generator, m: int, n: int, field: PrimeField) -
 
 
 def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
-            counter: OpCounter | None = None) -> np.ndarray:
-    """Exact product of reduced operands with classical operation counts.
+            counter: OpCounter | None = None, *,
+            C: np.ndarray | None = None) -> np.ndarray:
+    """Exact product of reduced operands with classical operation counts;
+    with a reduced C, the Schur update (C - A B) mod p as a new array, C
+    unwritten and m n more additions counted.
 
     When every dot product stays below 2**53, k * (p-1)**2 < 2**53, each
     partial sum is an integer that float64 holds exactly in any summation
     order, so the product runs in float64 BLAS and is converted back to
-    int64 before the reduction (the approach of FFLAS-FFPACK).  Products
+    int64 before the reduction (the approach of FFLAS-FFPACK).  C is
+    subtracted before that conversion, still exactly, since every value
+    lies in (-k (p-1)**2, p), so the update costs one reduction.  Products
     below _FLOAT_MIN_WORK multiplications, and those with one column or
     one inner index, stay on int64: there converting the operands costs as
-    much as the product.  On the int64 path accumulation is chunked so
-    that partial sums never exceed int64 range, which matters only for
-    moduli close to the 2**31 bound.
+    much as the product.  On the int64 path accumulation, started from C,
+    is chunked so that partial sums never exceed int64 range, which
+    matters only for moduli close to the 2**31 bound.
     """
     if A.ndim != 2 or B.ndim != 2:
         raise ValueError("mat_mul expects 2-d operands")
@@ -161,19 +186,29 @@ def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
     p = field.p
     m, k = A.shape
     n = B.shape[1]
+    if C is not None and C.shape != (m, n):
+        raise ValueError(f"C has shape {C.shape}, the product {(m, n)}")
     if counter is not None:
         counter.count_matmul(m, k, n)
+        if C is not None and k:
+            counter.adds += m * n
     if k == 0 or m == 0 or n == 0:
-        return np.zeros((m, n), dtype=np.int64)
+        return np.zeros((m, n), dtype=np.int64) if C is None else C % p
     if (n > 1 and k > 1 and m * k * n >= _FLOAT_MIN_WORK
             and k * (p - 1) ** 2 < _FLOAT_EXACT):
-        C = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
-        C %= p
-        return C
+        R = A.astype(np.float64) @ B.astype(np.float64)
+        if C is not None:
+            np.subtract(C, R, out=R)
+        R = R.astype(np.int64)
+        R %= p
+        return R
     step = max(1, (_INT64_MAX - p) // ((p - 1) ** 2))
     if k <= step:
-        return (A @ B) % p
-    acc = np.zeros((m, n), dtype=np.int64)
+        return (A @ B) % p if C is None else (C - A @ B) % p
+    if C is None:
+        acc = np.zeros((m, n), dtype=np.int64)
+    else:
+        acc, A = C, -A
     for lo in range(0, k, step):
         acc = (acc + A[:, lo:lo + step] @ B[lo:lo + step]) % p
     return acc

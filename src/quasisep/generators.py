@@ -32,8 +32,8 @@ from itertools import accumulate
 import numpy as np
 
 from .field import (OpCounter, Permutation, PrimeField, is_left_triangular,
-                    left_part, mat_mul, region_mask, reverse_cols,
-                    reverse_rows, strict_lower, strict_upper)
+                    left_part, mat_mul, region_mask, residues,
+                    reverse_cols, reverse_rows, strict_lower, strict_upper)
 from .orders import _left_elimination, qs_order
 from .pluq import PluqDecomposition, pluq_rpm
 
@@ -526,9 +526,11 @@ def qs_from_dense(M: np.ndarray, rep_kind: str, field: PrimeField,
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("qs_from_dense expects a square matrix")
-    M = np.asarray(M, dtype=np.int64) % field.p
-    low = reverse_rows(strict_lower(M))
-    up = reverse_cols(strict_upper(M))
-    return QsMatrix(n, field, rep_kind, M.diagonal().copy(),
+    if rep_kind == "tree":           # stores blocks: needs the triangles
+        low = reverse_rows(strict_lower(M))
+        up = reverse_cols(strict_upper(M))
+    else:                            # the elimination reads left regions only
+        low, up = M[::-1], M[:, ::-1]
+    return QsMatrix(n, field, rep_kind, residues(M.diagonal(), field).copy(),
                     _represent(low, rep_kind, field, counter),
                     _represent(up, rep_kind, field, counter))

@@ -87,7 +87,6 @@ def _left_elimination(A: np.ndarray, field: PrimeField,
     are those of the recursion and each segment is cut straight from the
     factors, P L on rows i .. c-j and U Q on columns j .. c-i.
     """
-    p = field.p
     found = []
 
     def rec(A: np.ndarray, c: int, row0: int, col0: int) -> None:
@@ -109,39 +108,27 @@ def _left_elimination(A: np.ndarray, field: PrimeField,
             return
         d = pluq_rpm(A[:h, :h], field, counter)
         r1 = d.r
-        rp = d.P.img
-        cp = d.Q.inverse().img
-
-        B = A[:h, h:][rp]            # P1^T A2
-        C = A[h:, :h][:, cp]         # A3 Q1^T
-        L1 = d.L[:r1, :r1]
-        M1 = d.L[r1:, :r1]
-        U1 = d.U[:r1, :r1]
-        V1 = d.U[:r1, r1:]
-        D = trsm_unit_lower(L1, B[:r1], field, counter)
-        E = trsm_upper_right(C[:, :r1], U1, field, counter)
-        F = B[r1:]                   # the Schur complements, in place
-        F -= mat_mul(M1, D, field, counter)
-        F %= p
-        G = C[:, r1:]
-        G -= mat_mul(E, V1, field, counter)
-        G %= p
-        if counter is not None:
-            counter.adds += F.size + G.size
-
+        rp = d.P.img[:r1]
+        cp = d.Q.inverse().img[:r1]
         PL = d.P.apply_rows(d.L)
         UQ = d.Q.apply_cols(d.U)
-        for k, (i, j) in enumerate(zip(rp[:r1].tolist(), cp[:r1].tolist())):
+        D = trsm_unit_lower(d.L[:r1], A[:h, h:][rp], field, counter)
+        E = trsm_upper_right(A[h:, :h][:, cp], d.U[:, :r1], field, counter)
+        for k, (i, j) in enumerate(zip(rp.tolist(), cp.tolist())):
             found.append((row0 + i, col0 + j,
                           np.concatenate([PL[i:, k], E[:c + 1 - h - j, k]]),
                           np.concatenate([UQ[k, j:], D[k, :c + 1 - h - i]])))
-
-        B[:r1] = 0
-        H = d.P.apply_rows(B)        # P1 [0; F], by a row scatter
-        C[:, :r1] = 0
-        I = d.Q.apply_cols(C)        # [0 | G] Q1, by a column gather
-        del B, C, D, E, F, G         # not held across the recursion
+        if r1 == h:                  # every row of H and column of I is a
+            return                   # pivot's: both are zero
+        # the Schur complements A2 - P L D and A3 - E U Q, in A's own order
+        # (the pivot rows of H and the pivot columns of I come out zero),
+        # each formed only for its own child
+        H = mat_mul(PL, D, field, counter, C=A[:h, h:])
+        del D, PL
         rec(H, c - h, row0, col0 + h)
+        del H
+        I = mat_mul(E, UQ, field, counter, C=A[h:, :h])
+        del E, UQ
         rec(I, c - h, row0 + h, col0)
 
     n = A.shape[0]
@@ -154,10 +141,11 @@ def lt_rpm(A: np.ndarray, field: PrimeField,
            counter: OpCounter | None = None) -> RankProfileMatrix:
     """Left triangular part of the rank profile matrix of a square A.
 
-    The pivots are those of A with i + j <= n - 2 (0-based).  An input
-    that is not left triangular may count up to about 9x more
-    multiplications at n < 64, because each base PLUQ also eliminates the
-    fill pivots outside the region before they are dropped.
+    The pivots are those of A with i + j <= n - 2 (0-based).  The result
+    and the counted operations depend only on A's left region, so A need
+    not be left triangular: a region entry's Schur update reads only
+    region entries, because P L P^T is lower triangular, and each base
+    block is masked to its region.
     """
     n = A.shape[0]
     if A.shape != (n, n):
@@ -172,17 +160,11 @@ def quasiseparable_orders(M: np.ndarray, field: PrimeField,
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("quasiseparable_orders expects a square matrix")
-    # J_n @ lower part and upper part @ J_n, both left triangular: each is
-    # a reversed view of its own triangle, reduced in place, and formed only
-    # for its own call, so the elimination copies nothing more at its root
-    M = np.asarray(M, dtype=np.int64)
-    low = strict_lower(M)[::-1]
-    low %= field.p
-    r_l = qs_order(lt_rpm(low, field, counter).pivots, n)
-    del low
-    up = strict_upper(M)[:, ::-1]
-    up %= field.p
-    r_u = qs_order(lt_rpm(up, field, counter).pivots, n)
+    # the left regions of J_n M and M J_n are J_n strict_lower(M) and
+    # strict_upper(M) J_n, and lt_rpm reads only its input's left region
+    # (reducing it if needed): both triangles are reversed views, not copies
+    r_l = qs_order(lt_rpm(M[::-1], field, counter).pivots, n)
+    r_u = qs_order(lt_rpm(M[:, ::-1], field, counter).pivots, n)
     return QsOrders(r_l, r_u)
 
 

@@ -100,27 +100,21 @@ def _pluq(A: np.ndarray, field: PrimeField, counter: OpCounter | None) -> tuple:
     the same order, before any pivot of the bottom half, and its rotations
     keep the other rows and columns in order.  So the top half is factored
     alone, the bottom rows in its column order C = [C1 C2] give
-    E = C1 U11^-1 and the Schur complement G = C2 - E V1, and G is factored
-    alone.  Rows end up as [top pivots, bottom pivots, top non-pivots,
-    bottom non-pivots], and with P and Q fixed L and U are unique: the
-    result equals the scalar loop's.
+    E = C1 U11^-1 and the Schur complement G = C2 - E V1 (one fused
+    `mat_mul`), and G is factored alone.  Rows end up as [top pivots,
+    bottom pivots, top non-pivots, bottom non-pivots], and with P and Q
+    fixed L and U are unique: the result equals the scalar loop's.
     """
     m, n = A.shape
     if m <= _ROW_BASE:
         return _pluq_rows(A, field, counter)
-    p = field.p
     m1 = m // 2
     m2 = m - m1
     rp1, cp1, L1, U1 = _pluq(A[:m1], field, counter)
     r1 = U1.shape[0]
     if r1:
-        C = A[m1:, cp1]
-        E = trsm_upper_right(C[:, :r1], U1[:, :r1], field, counter)
-        G = C[:, r1:]
-        G -= mat_mul(E, U1[:, r1:], field, counter)
-        G %= p
-        if counter is not None:
-            counter.adds += G.size
+        E = trsm_upper_right(A[m1:, cp1[:r1]], U1[:, :r1], field, counter)
+        G = mat_mul(E, U1[:, r1:], field, counter, C=A[m1:, cp1[r1:]])
     else:                            # no pivot on top: cp1 is the identity
         E = np.zeros((m2, 0), dtype=np.int64)
         G = A[m1:]

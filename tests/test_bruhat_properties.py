@@ -1,12 +1,14 @@
-"""Property test: the orders and the Bruhat generator agree with the
+"""Property tests: the orders and the Bruhat generator agree with the
 brute-force oracles on the six families of `util.instances`, at the small
-primes and at both ends of the modulus range."""
+primes and at both ends of the modulus range, and read only the left
+region of their input."""
 
 import numpy as np
 from hypothesis import given, settings
 
-from quasisep import (compact_bruhat, lt_bruhat, lt_rpm, qs_order,
-                      qs_order_bruteforce, reconstruct, rpm_bruteforce)
+from quasisep import (OpCounter, compact_bruhat, left_part, lt_bruhat, lt_rpm,
+                      qs_order, qs_order_bruteforce, reconstruct, reverse_cols,
+                      reverse_rows, rpm_bruteforce, strict_lower, strict_upper)
 
 from util import instances
 
@@ -27,3 +29,33 @@ def test_orders_and_bruhat_properties(case):
     assert g.nnz_lower() <= s * (n - s) and g.nnz_upper() <= s * (n - s)
     # at the true order the packing always finds a free column
     assert np.array_equal(reconstruct(compact_bruhat(g, s)), A)
+
+
+def _elimination(A, f):
+    """Pivots, segments and counts of `lt_rpm` and `lt_bruhat` on A."""
+    c_rpm, c_bruhat = OpCounter(), OpCounter()
+    rpm = lt_rpm(A, f, c_rpm)
+    g = lt_bruhat(A, f, c_bruhat)
+    return (rpm.pivots, g.pivots, [s.tolist() for s in g.lower_segs + g.upper_segs],
+            c_rpm, c_bruhat)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(instances())
+def test_elimination_reads_only_the_left_region(case):
+    # quasiseparable_orders and qs_from_dense hand the elimination reversed
+    # views of a full matrix, not copies of its triangles
+    f, A = case
+    n = A.shape[0]
+    rng = np.random.default_rng(n * f.p % 9973)
+    full = A + np.where(left_part(np.ones((n, n), dtype=np.int64)) == 1, 0,
+                        rng.integers(0, f.p, (n, n), dtype=np.int64))
+    want = _elimination(A, f)
+    assert _elimination(left_part(full), f) == want
+    assert _elimination(full, f) == want
+    M = full[::-1].copy()            # J M = full, so M[::-1] is a view of it
+    assert np.array_equal(reverse_rows(strict_lower(M)), A)
+    assert _elimination(M[::-1], f) == want
+    M = full[:, ::-1].copy()
+    assert np.array_equal(reverse_cols(strict_upper(M)), A)
+    assert _elimination(M[:, ::-1], f) == want

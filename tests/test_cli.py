@@ -271,6 +271,25 @@ def test_bench_rows_and_scaling(tmp_path):
         assert int(r["adds"]) >= 0 and int(r["invs"]) >= 0
 
 
+def test_bench_skips_cells_without_an_instance(tmp_path):
+    # the cells random_qs rejects (s >= max(n, 1)) are named and skipped,
+    # and every other cell keeps the seed of its index in the full grid
+    csv = tmp_path / "g.csv"
+    proc = run_cli("bench", "--algo", "lt_rpm,tree", "--n", "0,1,2,3,5,17",
+                   "--s", "0,1", "--seed", "100", "--csv", str(csv))
+    skipped = [line for line in proc.stderr.splitlines() if line.startswith("skipped")]
+    assert skipped == [f"skipped {a} n={n} s=1: random_qs needs 0 <= s < max(n, 1)"
+                       for a in ("lt_rpm", "tree") for n in (0, 1)]
+    rows = [dict(zip(BENCH_HEADER.split(","), line.split(",")))
+            for line in csv.read_text().splitlines()[1:]]
+    assert len(rows) == 2 * 12 - 4
+    grid = sorted((a, n, s) for a in ("lt_rpm", "tree") for n in (0, 1, 2, 3, 5, 17)
+                  for s in (0, 1))
+    for row in rows:
+        cell = (row["algo"], int(row["n"]), int(row["s_target"]))
+        assert int(row["seed"]) == 100 + grid.index(cell)
+
+
 def test_bench_stored_elems_cross_check(tmp_path):
     # single-cell bench uses the --seed verbatim, so the instance matches
     # generate + compress with the same parameters

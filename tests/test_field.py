@@ -5,9 +5,10 @@ from quasisep import (OpCounter, Permutation, PrimeField, is_left_triangular,
                       left_part, mat, mat_mul, random_matrix, rank,
                       reverse_cols, reverse_rows, strict_upper,
                       trsm_unit_lower, trsm_upper_right)
+from quasisep.field import _is_prime
 from quasisep.textio import format_matrix, parse_matrix
 
-from util import F2, F5, F65521, permutation_matrix, schoolbook_mul
+from util import F2, F5, F65521, is_prime_trial, permutation_matrix, schoolbook_mul
 
 
 def test_modulus_validation():
@@ -19,6 +20,19 @@ def test_modulus_validation():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(2**31)
+
+
+def test_is_prime_small_range_against_trial_division():
+    assert [n for n in range(200_000) if _is_prime(n)] == \
+        [n for n in range(200_000) if is_prime_trial(n)]
+
+
+@pytest.mark.parametrize("n", [561, 1105, 41041, 825265, 321197185,
+                               2**31 - 1, 2147483629])
+def test_is_prime_carmichael_and_word_edge(n):
+    # Carmichael numbers fool the Fermat test to every coprime base;
+    # 2**31 - 1 and 2147483629 are the two largest word-size primes
+    assert _is_prime(n) == is_prime_trial(n)
 
 
 def test_field_arith_examples():
@@ -64,14 +78,16 @@ def test_mat_mul_large_modulus_chunked():
     assert np.array_equal(mat_mul(A, B, f), schoolbook_mul(A, B, f))
 
 
-def _python_int_product(A, B, p):
-    return (A.astype(object) @ B.astype(object)) % p
+def _python_int_product(A, B, p, C=None):
+    AB = A.astype(object) @ B.astype(object)
+    return (AB if C is None else C.astype(object) - AB) % p
 
 
 # (p, m, k, n): float64 BLAS where k (p-1)^2 < 2^53 and m k n >= 4096 with
 # k, n > 1, int64 otherwise.  Entries p-2 make every product odd, so an odd
 # sum of three or more rounded in float64 past 2^53 would show; random
-# entries catch the rest.
+# entries catch the rest.  Each shape also runs the fused C - A B, whose
+# extremes are C = 0 under a full product and C = p-1.
 _MAT_MUL_EDGES = [
     (67108859, 64, 1, 64),      # one inner index: int64
     (67108859, 48, 2, 48),      # 2 (p-1)^2 = 2^53 - 1610612664: float64
@@ -83,6 +99,12 @@ _MAT_MUL_EDGES = [
     (65521, 63, 5, 13),         # m k n = 4095, just below it: int64
     (65521, 512, 8, 1),         # one column: int64
     (2**31 - 1, 16, 16, 16),    # (p-1)^2 > 2^53 / 16: int64, chunked
+    (2**31 - 1, 7, 2, 9),       # two inner indices fit int64: one chunk
+    (3, 16, 16, 16),
+    (3, 63, 5, 13),
+    (2, 9, 3, 1),
+    (65521, 5, 0, 7),           # no inner index: C - A B = C
+    (2**31 - 1, 0, 4, 6),
 ]
 
 
@@ -90,16 +112,39 @@ _MAT_MUL_EDGES = [
                          ids=lambda v: str(v))
 def test_mat_mul_edges_against_python_ints(p, m, k, n):
     f = PrimeField(p)
-    for fill in {p - 1, max(p - 2, 0)}:
-        A = np.full((m, k), fill, dtype=np.int64)
-        B = np.full((k, n), fill, dtype=np.int64)
+    rng = np.random.default_rng(p % 997)
+    operands = [(np.full((m, k), fill, dtype=np.int64),
+                 np.full((k, n), fill, dtype=np.int64),
+                 np.full((m, n), c, dtype=np.int64))
+                for fill in {p - 1, max(p - 2, 0)} for c in (0, p - 1)]
+    operands.append((random_matrix(rng, m, k, f), random_matrix(rng, k, n, f),
+                     random_matrix(rng, m, n, f)))
+    for A, B, C in operands:
         got = mat_mul(A, B, f)
         assert got.dtype == np.int64
         assert np.array_equal(got, _python_int_product(A, B, p))
-    rng = np.random.default_rng(p % 997)
-    A = random_matrix(rng, m, k, f)
-    B = random_matrix(rng, k, n, f)
-    assert np.array_equal(mat_mul(A, B, f), _python_int_product(A, B, p))
+        before = C.copy()
+        counter = OpCounter()
+        got = mat_mul(A, B, f, counter, C=C)
+        assert got.dtype == np.int64 and got is not C
+        assert np.array_equal(got, _python_int_product(A, B, p, C))
+        assert np.array_equal(C, before)
+        assert counter.muls == m * k * n
+        assert counter.adds == m * n * (k - 1) + m * n
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1])
+def test_mat_mul_fused_random_shapes(p):
+    # shapes up to 24**3 multiplications, across the float64 threshold
+    f = PrimeField(p)
+    rng = np.random.default_rng(p % 1009)
+    for _ in range(100):
+        m, k, n = (int(v) for v in rng.integers(0, 25, 3))
+        A, B, C = (random_matrix(rng, *shape, f) for shape in ((m, k), (k, n), (m, n)))
+        before = C.copy()
+        got = mat_mul(A, B, f, C=C)
+        assert np.array_equal(got, _python_int_product(A, B, p, C)), (m, k, n)
+        assert np.array_equal(C, before)
 
 
 @pytest.mark.parametrize("m, k, n", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)])
@@ -122,6 +167,9 @@ def test_mat_mul_counter_exact():
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
         mat_mul(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64), F5)
+    with pytest.raises(ValueError):
+        mat_mul(np.zeros((2, 3), dtype=np.int64), np.zeros((3, 4), dtype=np.int64), F5,
+                C=np.zeros((1, 4), dtype=np.int64))
 
 
 def test_trsm_unit_lower():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,18 @@ def test_inputs_left_unchanged(reduced):
             assert np.array_equal(got.L, want.L) and np.array_equal(got.U, want.U)
         else:
             assert got == want, fn.__name__
+
+
+def test_quasiseparable_orders_memory_below_one_matrix():
+    # the triangles are reversed views of M, and each Schur complement is
+    # formed once, only for its own child: the peak stays below one n x n
+    # int64 matrix (8 MiB here)
+    n = 1024
+    M = random_qs(n, 8, 8, 1, F65521)
+    tracemalloc.start()
+    try:
+        assert quasiseparable_orders(M, F65521) == (8, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8

@@ -20,6 +20,18 @@ def schoolbook_mul(A, B, field):
     return C
 
 
+def is_prime_trial(n):
+    """Trial division: the primality oracle for `field._is_prime`."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def dense_matvec(A, x, field):
     y = np.zeros(A.shape[0], dtype=np.int64)
     for i in range(A.shape[0]):
