@@ -13,11 +13,11 @@ import time
 import numpy as np
 
 from . import verifysuite
-from .field import (OpCounter, PrimeField, rank, reverse_cols, reverse_rows,
+from .field import (OpCounter, PrimeField, reverse_cols, reverse_rows,
                     strict_lower, strict_upper)
-from .generators import (REP_KINDS, _represent, compact_bruhat, lt_bruhat,
-                         random_qs, tree_generator)
+from .generators import REP_KINDS, _represent, random_qs, tree_generator
 from .orders import lt_rpm, qs_order
+from .pluq import pluq_rpm
 from .structops import mul_lt_lt
 from .textio import ParseError, read_matrix, write_generator, write_matrix
 
@@ -45,17 +45,21 @@ def cmd_analyze(args) -> int:
     print(f"p {field.p}")
     print(f"r_l {qs_order(piv_low.pivots, n)}")
     print(f"r_u {qs_order(piv_up.pivots, n)}")
-    print(f"rank_lower {rank(low, field)}")
-    print(f"rank_upper {rank(up, field)}")
+    print(f"rank_lower {pluq_rpm(low, field).r}")
+    print(f"rank_upper {pluq_rpm(up, field).r}")
     print(f"pivots_lower {piv_low.rank}")
     print(f"pivots_upper {piv_up.rank}")
     return 0
 
 
-def _tree_bound(n: int, s: int) -> int:
-    if s == 0:
-        return 0
-    return s * n * (int(np.ceil(np.log2(n / s))) + 1)
+# stored-size bound of one side of order s, per kind; a compact side's
+# dense blocks hold at most n*s diagonal plus n*s sub-diagonal entries
+# per factor
+_STORAGE_BOUNDS = {
+    "tree": lambda n, s: s * n * (int(np.ceil(np.log2(n / s))) + 1) if s else 0,
+    "bruhat": lambda n, s: 2 * s * (n - s),
+    "compact": lambda n, s: 4 * s * n,
+}
 
 
 def cmd_compress(args) -> int:
@@ -69,27 +73,14 @@ def cmd_compress(args) -> int:
     print(f"n {n}")
     print(f"p {field.p}")
     for name, A in parts.items():
-        g_bruhat = lt_bruhat(A, field)
-        s = qs_order(g_bruhat.pivots, n)
-        if args.kind == "tree":
-            g = tree_generator(A, field)
-            stored = g.stored_elements()
-            bound = _tree_bound(n, s)
-        elif args.kind == "bruhat":
-            g = g_bruhat
-            stored = g.stored_elements()
-            bound = 2 * s * (n - s)
-        else:
-            # dense-block capacity: each compressed factor holds at most
-            # n*s diagonal plus n*s sub-diagonal entries
-            g = compact_bruhat(g_bruhat, s)
-            stored = g.stored_elements()
-            bound = 4 * s * n
+        g = _represent(A, args.kind, field)
+        # a tree keeps no pivot list; the other kinds carry their own
+        s = qs_order((lt_rpm(A, field) if args.kind == "tree" else g).pivots, n)
         out_path = f"{args.out}.{name}"
         write_generator(out_path, g)
         print(f"s_{name} {s}")
-        print(f"stored_{name} {stored}")
-        print(f"bound_{name} {bound}")
+        print(f"stored_{name} {g.stored_elements()}")
+        print(f"bound_{name} {_STORAGE_BOUNDS[args.kind](n, s)}")
         print(f"wrote_{name} {out_path}")
     return 0
 

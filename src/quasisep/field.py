@@ -229,14 +229,20 @@ def trsm_unit_lower(L: np.ndarray, B: np.ndarray, field: PrimeField,
         raise ValueError("dimension mismatch in trsm_unit_lower")
     if r and ((L.diagonal() != 1).any() or np.triu(L, 1).any()):
         raise ValueError("L is not unit lower triangular")
-    p = field.p
-    k = B.shape[1]
-    X = np.zeros_like(B)
-    for i in range(r):
-        X[i] = (B[i] - mat_mul(L[i:i + 1, :i], X[:i], field, counter).ravel()) % p
-        if counter is not None:
-            counter.adds += k
-    return X
+    return _lower_solve(L, B, field, counter)
+
+
+def _lower_solve(L: np.ndarray, B: np.ndarray, field: PrimeField,
+                 counter: OpCounter | None) -> np.ndarray:
+    """`trsm_unit_lower` by halves: X1 = L11^-1 B1, then
+    X2 = L22^-1 (B2 - L21 X1) with one fused `mat_mul`."""
+    r = L.shape[0]
+    if r <= 1:
+        return B % field.p
+    h = r // 2
+    X1 = _lower_solve(L[:h, :h], B[:h], field, counter)
+    B2 = mat_mul(L[h:, :h], X1, field, counter, C=B[h:])
+    return np.concatenate([X1, _lower_solve(L[h:, h:], B2, field, counter)])
 
 
 def trsm_upper_right(B: np.ndarray, U: np.ndarray, field: PrimeField,
@@ -251,19 +257,23 @@ def trsm_upper_right(B: np.ndarray, U: np.ndarray, field: PrimeField,
         raise ValueError("U is not upper triangular")
     if (U.diagonal() == 0).any():
         raise ZeroDivisionError("U has a zero diagonal entry")
-    p = field.p
-    k = B.shape[0]
-    inv_diag = [field.inv(int(d)) for d in U.diagonal()]
-    if counter is not None:
-        counter.invs += r
-    X = np.zeros_like(B)
-    for j in range(r):
-        col = (B[:, j] - mat_mul(X[:, :j], U[:j, j:j + 1], field, counter).ravel()) % p
-        X[:, j] = (col * inv_diag[j]) % p
+    return _upper_solve(B, U, field, counter) if r else B % field.p
+
+
+def _upper_solve(B: np.ndarray, U: np.ndarray, field: PrimeField,
+                 counter: OpCounter | None) -> np.ndarray:
+    """`trsm_upper_right` by halves: X1 = B1 U11^-1, then
+    X2 = (B2 - X1 U12) U22^-1 with one fused `mat_mul`."""
+    r = U.shape[0]
+    if r == 1:
         if counter is not None:
-            counter.adds += k
-            counter.muls += k
-    return X
+            counter.invs += 1
+            counter.muls += B.shape[0]
+        return (B * field.inv(int(U[0, 0]))) % field.p
+    h = r // 2
+    X1 = _upper_solve(B[:, :h], U[:h, :h], field, counter)
+    B2 = mat_mul(X1, U[:h, h:], field, counter, C=B[:, h:])
+    return np.concatenate([X1, _upper_solve(B2, U[h:, h:], field, counter)], axis=1)
 
 
 def region_mask(m: int, n: int, c: int) -> np.ndarray:

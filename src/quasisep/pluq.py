@@ -1,18 +1,17 @@
 """Rank-profile-revealing PLUQ decomposition and the rank profile matrix.
 
-The pivoting strategy picks the nonzero entry of the trailing submatrix
-with lexicographically minimal (row, column) and moves it into place with
-cyclic row/column rotations, which preserves the relative order of the
-remaining rows and columns.  `pluq_rpm` reaches the same result by a
-row-recursive elimination (Dumas, Pernet & Sultan, ISSAC'15): it factors
-the top half of the rows, updates the bottom half with one triangular
-solve and one `mat_mul`, and factors that Schur complement unless it is
-zero.  The updates are matrix products, and a bottom half left with no
-pivot costs one pass.  Blocks of at most _ROW_BASE rows run the scalar
-loop: it reads the first row with a nonzero (one `any` per row), then
-that row's first nonzero, and makes the rank-1 Schur update in place.  A
-brute-force rank-table oracle double-checks the revealed profile in the
-test suite.
+The pivoting strategy picks the nonzero entry of the not yet eliminated
+rows and columns with lexicographically minimal (row, column).  `_pluq`
+factors A = L U in A's own row and column order, with the pivot rows and
+columns listed beside the factors, and `pluq_rpm` alone builds P and Q:
+the pivots first, then the other rows and columns in ascending order.
+The elimination is row-recursive (Dumas, Pernet & Sultan, ISSAC'15): it
+factors the top half of the rows, updates the bottom half with one
+triangular solve and one `mat_mul`, and factors that Schur complement
+unless it is zero.  Blocks of at most _ROW_BASE rows run the scalar loop:
+it takes the first row with a nonzero, then that row's first nonzero,
+and makes the rank-1 Schur update in place.  A brute-force rank-table
+oracle double-checks the revealed profile in the test suite.
 """
 
 from __future__ import annotations
@@ -82,107 +81,106 @@ def pluq_rpm(A: np.ndarray, field: PrimeField,
              counter: OpCounter | None = None) -> PluqDecomposition:
     """PLUQ decomposition whose P [I_r; 0] Q equals the rank profile matrix.
 
-    A is read, never written; an int64 A that is already reduced is used
-    without a copy.
+    P lists the pivot rows in pivot order, then the other rows in
+    ascending order; Q does the same for the columns.  A is read, never
+    written; an int64 A that is already reduced is used without a copy.
     """
-    rp, cp, L, U = _pluq(residues(A, field), field, counter)
+    A = residues(A, field)
+    prow, pcol, L, U = _pluq(A, field, counter)
+    rp = _pivots_first(prow, A.shape[0])
+    cp = _pivots_first(pcol, A.shape[1])
     inv_cp = np.empty_like(cp)
     inv_cp[cp] = np.arange(len(cp), dtype=np.int64)
-    return PluqDecomposition(Permutation(rp), L, U, Permutation(inv_cp),
-                             U.shape[0], field)
+    return PluqDecomposition(Permutation(rp), L[rp], U[:, cp],
+                             Permutation(inv_cp), len(prow), field)
+
+
+def _pivots_first(piv: np.ndarray, size: int) -> np.ndarray:
+    """piv, then the other indices below size in ascending order."""
+    rest = np.ones(size, dtype=bool)
+    rest[piv] = False
+    return np.concatenate([piv, rest.nonzero()[0]])
 
 
 def _pluq(A: np.ndarray, field: PrimeField, counter: OpCounter | None) -> tuple:
-    """(rp, cp, L, U) with A[rp][:, cp] = L U for a reduced A.
+    """(prow, pcol, L, U) with A = L U for a reduced A, in A's own order.
 
-    Splits the rows in halves.  The scalar search takes the first nonzero
-    row of the trailing block, so it meets every pivot of the top half, in
-    the same order, before any pivot of the bottom half, and its rotations
-    keep the other rows and columns in order.  So the top half is factored
-    alone, the bottom rows in its column order C = [C1 C2] give
-    E = C1 U11^-1 and the Schur complement G = C2 - E V1 (one fused
-    `mat_mul`), and G is factored alone.  Rows end up as [top pivots,
-    bottom pivots, top non-pivots, bottom non-pivots], and with P and Q
-    fixed L and U are unique: the result equals the scalar loop's.
+    Pivot k sits at (prow[k], pcol[k]).  Column k of L (m x r) is zero
+    above row prow[k] and 1 on it; row k of U (r x n) is zero left of
+    pcol[k] and on the columns of the pivots before it.  Splits the rows
+    in halves.  The scalar loop of `_pluq_rows` takes its pivot rows in
+    increasing order, and its update of a row reads only pivot rows above
+    it.  So it finds the pivots of the top half A1 = L1 U1 first, exactly
+    as on A1 alone, and then works on the bottom rows A2 as updated by
+    them: the Schur complement G = A2 - E U1 with
+    E = A2[:, pcol1] U1[:, pcol1]^-1, one triangular solve and one fused
+    `mat_mul` that leaves G zero on pcol1.  G is factored alone unless it
+    is zero.
     """
     m, n = A.shape
     if m <= _ROW_BASE:
         return _pluq_rows(A, field, counter)
     m1 = m // 2
-    m2 = m - m1
-    rp1, cp1, L1, U1 = _pluq(A[:m1], field, counter)
-    r1 = U1.shape[0]
-    if r1:
-        E = trsm_upper_right(A[m1:, cp1[:r1]], U1[:, :r1], field, counter)
-        G = mat_mul(E, U1[:, r1:], field, counter, C=A[m1:, cp1[r1:]])
-    else:                            # no pivot on top: cp1 is the identity
-        E = np.zeros((m2, 0), dtype=np.int64)
-        G = A[m1:]
+    prow1, pcol1, L1, U1 = _pluq(A[:m1], field, counter)
+    r1 = len(prow1)
+    E = trsm_upper_right(A[m1:, pcol1], U1[:, pcol1], field, counter)
+    G = mat_mul(E, U1, field, counter, C=A[m1:]) if r1 else A[m1:]
     if G.any():
-        rp2, cp2, L2, U2 = _pluq(G, field, counter)
+        prow2, pcol2, L2, U2 = _pluq(G, field, counter)
     else:
-        rp2 = np.arange(m2, dtype=np.int64)
-        cp2 = np.arange(n - r1, dtype=np.int64)
-        L2 = np.zeros((m2, 0), dtype=np.int64)
-        U2 = np.zeros((0, n - r1), dtype=np.int64)
-    r2 = U2.shape[0]
-    r = r1 + r2
-    E = E[rp2]
-    L = np.zeros((m, r), dtype=np.int64)
-    L[:r1, :r1] = L1[:r1]                     # top pivot rows
-    L[r1:r, :r1] = E[:r2]                     # bottom pivot rows
-    L[r1:r, r1:] = L2[:r2]
-    L[r:r + m1 - r1, :r1] = L1[r1:]           # top non-pivot rows
-    L[r + m1 - r1:, :r1] = E[r2:]             # bottom non-pivot rows
-    L[r + m1 - r1:, r1:] = L2[r2:]
-    U = np.zeros((r, n), dtype=np.int64)
-    U[:r1, :r1] = U1[:, :r1]
-    U[:r1, r1:] = U1[:, r1:][:, cp2]
-    U[r1:, r1:] = U2
-    rp = np.concatenate([rp1[:r1], m1 + rp2[:r2], rp1[r1:], m1 + rp2[r2:]])
-    cp = np.concatenate([cp1[:r1], cp1[r1:][cp2]])
-    return rp, cp, L, U
+        prow2 = pcol2 = np.zeros(0, dtype=np.int64)
+        L2 = np.zeros((m - m1, 0), dtype=np.int64)
+        U2 = np.zeros((0, n), dtype=np.int64)
+    L = np.block([[L1, np.zeros((m1, len(prow2)), dtype=np.int64)], [E, L2]])
+    return (np.concatenate([prow1, m1 + prow2]), np.concatenate([pcol1, pcol2]),
+            L, np.vstack([U1, U2]))
 
 
 def _pluq_rows(A: np.ndarray, field: PrimeField, counter: OpCounter | None) -> tuple:
-    """The scalar loop behind `_pluq`, on a copy of a reduced A."""
+    """The scalar loop behind `_pluq`, on a copy W of a reduced A.
+
+    A pivot's rank-1 Schur update runs in place on the rows below it and
+    the columns from its own on, and leaves its column zero below it.  A
+    row that is zero on the columns not yet eliminated stays zero under
+    every later update, because its multiplier is 0.  So the rows below
+    the last pivot row are zero on the pivot columns, and the next pivot
+    is the first nonzero of the first of them that has one: the
+    lexicographically least nonzero of the rows and columns not yet
+    eliminated, which keep their relative order since nothing is moved.
+    L holds the multipliers by row of A, with 1 at the pivot, and U is
+    the pivot rows of W.
+    """
     p = field.p
     W = np.array(A, dtype=np.int64)
     m, n = W.shape
-    rp = np.arange(m, dtype=np.int64)
-    cp = np.arange(n, dtype=np.int64)
-    k = 0
-    while k < m and k < n:
-        live = W[k:, k:].any(axis=1)
-        i = int(live.argmax())       # first nonzero row, then its first
-        if not live[i]:              # nonzero column: the lexicographic min
+    L = np.zeros((m, min(m, n)), dtype=np.int64)
+    prow, pcol = [], []
+    i = 0                            # rows above i are pivot rows or zero
+    while i < m:
+        live = W[i:].any(axis=1)
+        d = int(live.argmax())       # first nonzero row, then its first
+        if not live[d]:              # nonzero column: the lexicographic min
             break
-        i += k
-        j = k + int(W[i, k:].astype(bool).argmax())
-        if i > k:
-            W[k:i + 1] = np.roll(W[k:i + 1], 1, axis=0)
-            rp[k:i + 1] = np.roll(rp[k:i + 1], 1)
-        if j > k:
-            W[:, k:j + 1] = np.roll(W[:, k:j + 1], 1, axis=1)
-            cp[k:j + 1] = np.roll(cp[k:j + 1], 1)
-        inv = field.inv(int(W[k, k]))
+        i += d
+        j = int(W[i].astype(bool).argmax())
+        k = len(prow)
+        prow.append(i)
+        pcol.append(j)
+        L[i, k] = 1
         if counter is not None:
             counter.invs += 1
             counter.muls += (m - k - 1) + (m - k - 1) * (n - k - 1)
             counter.adds += (m - k - 1) * (n - k - 1)
-        if k + 1 < m:
-            W[k + 1:, k] = (W[k + 1:, k] * inv) % p
-            if k + 1 < n:
-                T = W[k + 1:, k + 1:]    # Schur update in place
-                T -= np.outer(W[k + 1:, k], W[k, k + 1:])
-                T %= p
-        k += 1
-    r = k
-    L = np.tril(W[:, :r], -1)
-    if r:
-        L[np.arange(r), np.arange(r)] = 1
-    U = np.triu(W[:r, :])
-    return rp, cp, L, U
+        inv = field.inv(int(W[i, j]))
+        if i + 1 < m:
+            L[i + 1:, k] = (W[i + 1:, j] * inv) % p
+            T = W[i + 1:, j:]                # Schur update in place
+            T -= np.outer(L[i + 1:, k], W[i, j:])
+            T %= p
+        i += 1
+    r = len(prow)
+    return (np.array(prow, dtype=np.int64), np.array(pcol, dtype=np.int64),
+            L[:, :r], W[prow])
 
 
 def rpm_from_pluq(d: PluqDecomposition) -> RankProfileMatrix:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from quasisep import (OpCounter, Permutation, PrimeField, is_left_triangular,
 from quasisep.field import _is_prime
 from quasisep.textio import format_matrix, parse_matrix
 
-from util import F2, F5, F65521, is_prime_trial, permutation_matrix, schoolbook_mul
+from util import F2, F5, F65521, F2147483647, is_prime_trial, permutation_matrix, schoolbook_mul
 
 
 def test_modulus_validation():
@@ -172,6 +174,12 @@ def test_mat_mul_dimension_mismatch():
                 C=np.zeros((1, 4), dtype=np.int64))
 
 
+def _trsm_shapes():
+    """(field, r, k) where the halving splits r unevenly, at the modulus edges."""
+    return itertools.product((F2, F65521, F2147483647), (0, 1, 2, 3, 31, 33, 100),
+                             (0, 1, 7))
+
+
 def test_trsm_unit_lower():
     f7 = PrimeField(7)
     L = mat(f7, [[1, 0], [1, 1]])
@@ -190,6 +198,13 @@ def test_trsm_unit_lower():
     bad[2, 2] = 3
     with pytest.raises(ValueError):
         trsm_unit_lower(bad, Br, F65521)
+    for f, r, k in _trsm_shapes():
+        Lr = np.tril(random_matrix(rng, r, r, f), -1) + np.eye(r, dtype=np.int64)
+        Br = random_matrix(rng, r, k, f)
+        c = OpCounter()
+        Xr = trsm_unit_lower(Lr, Br, f, c)
+        assert Xr.shape == (r, k) and np.array_equal(schoolbook_mul(Lr, Xr, f), Br), (f, r, k)
+        assert (c.muls, c.adds, c.invs) == (r * (r - 1) // 2 * k, r * (r - 1) // 2 * k, 0)
 
 
 def test_trsm_upper_right():
@@ -208,6 +223,15 @@ def test_trsm_upper_right():
     sing[1, 1] = 0
     with pytest.raises(ZeroDivisionError):
         trsm_upper_right(Br, sing, F65521)
+    for f, r, k in _trsm_shapes():
+        U = np.triu(random_matrix(rng, r, r, f), 1)
+        U[np.arange(r), np.arange(r)] = rng.integers(1, f.p, r)
+        Br = random_matrix(rng, k, r, f)
+        c = OpCounter()
+        X = trsm_upper_right(Br, U, f, c)
+        assert X.shape == (k, r) and np.array_equal(schoolbook_mul(X, U, f), Br), (f, r, k)
+        assert (c.muls, c.adds, c.invs) == (r * (r - 1) // 2 * k + r * k,
+                                            r * (r - 1) // 2 * k, r)
 
 
 def test_left_part():

@@ -132,7 +132,8 @@ def test_rpm_pivot_uniqueness():
 
 def _pivot_search_cases(p):
     """Matrices that put the first nonzero where a row-then-column search
-    can go wrong: far down, in the last column, in the corner, nowhere."""
+    can go wrong: far down, in the last column, in the corner, below a row
+    that cancels out, nowhere."""
     rng = np.random.default_rng(p % 1000)
     far = np.zeros((9, 5), dtype=np.int64)          # first nonzero row far below
     far[7, 2] = 1
@@ -147,7 +148,9 @@ def _pivot_search_cases(p):
     wide[2] = rng.integers(0, p, 8)
     tall = random_matrix(rng, 11, 4, PrimeField(p))  # m > n, zero rows inside
     tall[3:7] = 0
-    return [far, last_col, corner, wide, tall, np.zeros((4, 6), dtype=np.int64)]
+    # row 2 = row 0 + row 1 turns zero only after two updates, row 3 is a pivot
+    twice = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 2], [0, 0, 5]], dtype=np.int64)
+    return [far, last_col, corner, wide, tall, twice, np.zeros((4, 6), dtype=np.int64)]
 
 
 @pytest.mark.parametrize("f", [F2, F2147483647], ids=lambda f: str(f.p))
@@ -212,3 +215,6 @@ def test_pluq_property(case):
     assert rpm_from_pluq(d).pivots == rpm_bruteforce(A, f).pivots
     assert check_pluq_structure(d)
     assert np.array_equal(d.reconstruct(), A)
+    # the rows and columns that hold no pivot follow in ascending order
+    assert (np.diff(d.P.img[d.r:]) > 0).all()
+    assert (np.diff(d.Q.inverse().img[d.r:]) > 0).all()
