@@ -165,7 +165,9 @@ def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
             C: np.ndarray | None = None) -> np.ndarray:
     """Exact product of reduced operands with classical operation counts;
     with a reduced C, the Schur update (C - A B) mod p as a new array, C
-    unwritten and m n more additions counted.
+    unwritten and m n more additions counted.  Stacked N x m x k and
+    N x k x n operands (and an N x m x n C) give the N products of their
+    slices, each made and counted as the 2-d product of its own shape.
 
     When every dot product stays below 2**53, k * (p-1)**2 < 2**53, each
     partial sum is an integer that float64 holds exactly in any summation
@@ -179,21 +181,24 @@ def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
     is chunked so that partial sums never exceed int64 range, which
     matters only for moduli close to the 2**31 bound.
     """
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError("mat_mul expects 2-d operands")
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
+    sa, sb = A.shape, B.shape
+    if len(sa) != len(sb) or len(sa) not in (2, 3):
+        raise ValueError("mat_mul expects two 2-d or two stacked 3-d operands")
+    if sa[:-2] != sb[:-2] or sa[-1] != sb[-2]:
+        raise ValueError(f"dimension mismatch: {sa} x {sb}")
     p = field.p
-    m, k = A.shape
-    n = B.shape[1]
-    if C is not None and C.shape != (m, n):
-        raise ValueError(f"C has shape {C.shape}, the product {(m, n)}")
+    m = sa[-2]
+    k, n = sb[-2:]
+    shape = sa[:-1] + (n,)
+    if C is not None and C.shape != shape:
+        raise ValueError(f"C has shape {C.shape}, the product {shape}")
     if counter is not None:
-        counter.count_matmul(m, k, n)
+        N = sa[0] if len(sa) == 3 else 1
+        counter.count_matmul(N * m, k, n)
         if C is not None and k:
-            counter.adds += m * n
-    if k == 0 or m == 0 or n == 0:
-        return np.zeros((m, n), dtype=np.int64) if C is None else C % p
+            counter.adds += N * m * n
+    if k == 0 or 0 in shape:
+        return np.zeros(shape, dtype=np.int64) if C is None else C % p
     if (n > 1 and k > 1 and m * k * n >= _FLOAT_MIN_WORK
             and k * (p - 1) ** 2 < _FLOAT_EXACT):
         R = A.astype(np.float64) @ B.astype(np.float64)
@@ -206,11 +211,11 @@ def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
     if k <= step:
         return (A @ B) % p if C is None else (C - A @ B) % p
     if C is None:
-        acc = np.zeros((m, n), dtype=np.int64)
+        acc = np.zeros(shape, dtype=np.int64)
     else:
         acc, A = C, -A
     for lo in range(0, k, step):
-        acc = (acc + A[:, lo:lo + step] @ B[lo:lo + step]) % p
+        acc = (acc + A[..., lo:lo + step] @ B[..., lo:lo + step, :]) % p
     return acc
 
 

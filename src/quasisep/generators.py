@@ -64,10 +64,44 @@ class TreeNode:
 
 @dataclass
 class TreeGenerator:
+    """A tree of PLUQ nodes and dense leaves.  `groups`, derived once on
+    construction, is what `structops` applies the tree from."""
+
     n: int          # represented size
     root: "TreeNode | TreeLeaf"
     field: PrimeField
     leaf_size: int
+
+    def __post_init__(self):
+        """Group the tree's blocks by depth and factor shapes.
+
+        Each group is (factors, r0, c0): the i-th block sits at rows
+        r0[i] .., columns c0[i] .. of the represented matrix and equals
+        factors[0][i] @ factors[1][i] for a node, its P L (h x r) and U Q
+        (r x h) with the permutations folded in, or factors[0][i] for a
+        leaf.  The blocks at one depth lie in subtrees that tile the rows
+        and the columns, so within a group no two blocks share a row or a
+        column.  Rank-0 nodes and empty leaves hold nothing to apply and
+        are left out.
+        """
+        found = {}
+        stack = [(self.root, 0, 0, 0)]
+        while stack:
+            node, depth, i, j = stack.pop()
+            if isinstance(node, TreeLeaf):
+                factors = (node.block,) if node.block.size else ()
+            else:
+                d = node.pluq
+                factors = (d.P.apply_rows(d.L), d.Q.apply_cols(d.U)) if d.r else ()
+                stack += [(node.top_right, depth + 1, i, j + d.m),
+                          (node.bottom_left, depth + 1, i + d.m, j)]
+            if factors:
+                key = (depth,) + tuple(f.shape for f in factors)
+                found.setdefault(key, []).append((factors, i, j))
+        self.groups = [(tuple(map(np.stack, zip(*(f for f, _, _ in members)))),
+                        np.array([i for _, i, _ in members], dtype=np.int64),
+                        np.array([j for _, _, j in members], dtype=np.int64))
+                       for members in found.values()]
 
     @property
     def size(self) -> int:
@@ -104,7 +138,7 @@ def tree_generator(A: np.ndarray, field: PrimeField,
     inside the region since 2h - 2 <= c, and the (a - h) x (b - h) block
     it leaves out lies outside it since 2h > c, so the leaf's region slots
     are the node's entries plus its children's.  Fewer, larger leaves
-    spare `_times_tall` a call per node.
+    leave fewer blocks to apply.
     """
     n = A.shape[0]
     if not is_left_triangular(A):

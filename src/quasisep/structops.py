@@ -5,7 +5,8 @@ vector or a block: a single cumulative sum over all upper segments serves
 every left-region truncation, so each column costs one multiplication per
 stored nonzero.  A compact generator is decoded by
 `generators.compact_to_bruhat` and applied the same way; a tree generator
-is applied by the quadrant recursion `_times_tall`.  Products are dense:
+is applied by `_tree_apply`, one depth and factor shape at a time from
+the groups the generator derives on construction.  Products are dense:
 `mul_qs_qs` densifies its right operand and applies the left operand's
 own representations to it, whatever the two kinds, and `mul_lt_lt` does
 the same for two tree represented left triangular matrices.
@@ -15,10 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import (OpCounter, PrimeField, mat_mul, residues, reverse_cols,
-                    reverse_rows)
+from .field import OpCounter, mat_mul, residues, reverse_cols, reverse_rows
 from .generators import (BruhatGenerator, CompactBruhatGenerator, QsMatrix,
-                         TreeGenerator, TreeLeaf, bruhat_reconstruct,
+                         TreeGenerator, bruhat_reconstruct,
                          compact_to_bruhat, tree_dense)
 
 
@@ -98,17 +98,17 @@ def matvec_tree(g: TreeGenerator, x: np.ndarray,
     x = np.asarray(x, dtype=np.int64) % g.field.p
     if x.shape != (g.n,):
         raise ValueError("vector length mismatch")
-    return _times_tall(g.root, x[:, None], g.field, counter)[:, 0]
+    return _tree_apply(g, x[:, None], counter)[:, 0]
 
 
 def _rep_times(rep, X: np.ndarray, counter: OpCounter | None) -> np.ndarray:
     """rep @ X for a reduced X.  A vector goes through the public matvecs,
-    a block straight to the tree recursion or the Bruhat kernel."""
+    a block straight to the tree or Bruhat kernel."""
     if isinstance(rep, CompactBruhatGenerator):
         rep = compact_to_bruhat(rep)
     if isinstance(rep, TreeGenerator):
         return matvec_tree(rep, X, counter) if X.ndim == 1 \
-            else _times_tall(rep.root, X, rep.field, counter)
+            else _tree_apply(rep, X, counter)
     if isinstance(rep, BruhatGenerator):
         return matvec_bruhat(rep, X, counter) if X.ndim == 1 \
             else _bruhat_apply(rep, X, counter)
@@ -134,43 +134,60 @@ def matvec_qs(M: QsMatrix, x: np.ndarray,
 # products against tree generators
 
 
-def _times_tall(node, F: np.ndarray, field: PrimeField,
+def _tree_apply(g: TreeGenerator, X: np.ndarray,
                 counter: OpCounter | None) -> np.ndarray:
-    """A @ F for an a x b node of the tree (F is b x k)."""
-    if isinstance(node, TreeLeaf):
-        return mat_mul(node.block, F, field, counter)
-    d = node.pluq
-    h = d.m
-    Ft, Fb = F[:h], F[h:]
-    X = d.Q.apply_rows(Ft)
-    X = mat_mul(d.U, X, field, counter)
-    X = mat_mul(d.L, X, field, counter)
-    X = d.P.apply_rows(X)
-    top = (X + _times_tall(node.top_right, Fb, field, counter)) % field.p
-    if counter is not None:
-        counter.adds += X.size
-    bottom = _times_tall(node.bottom_left, Ft, field, counter)
-    return np.concatenate([top, bottom])
+    """reconstruct(g) @ X for a reduced n x k block X, from g.groups.
+
+    Every group's products go into one int64 sum, reduced once at the
+    end: each is reduced, and a row gets at most one per depth.  A vector
+    costs one gather, one stacked product per factor and one scatter per
+    group, which is safe since no two blocks of a group share a row or a
+    column.  A block of several columns goes slice by slice, reading
+    views of X and adding into views of the sum: on wide blocks the
+    gathered copies cost more time and memory than the products save.
+    A node counts the h k additions that join its product to its
+    top-right child's; a leaf counts none.
+    """
+    n, k = X.shape
+    Y = np.zeros((n, k), dtype=np.int64)
+    for factors, r0, c0 in g.groups:
+        N, h = factors[0].shape[:2]
+        w = factors[-1].shape[2]
+        if k == 1:
+            T = X[c0[:, None] + np.arange(w)]
+            for F in reversed(factors):
+                T = mat_mul(F, T, g.field, counter)
+            Y[r0[:, None] + np.arange(h)] += T
+        else:
+            for q, (i, j) in enumerate(zip(r0.tolist(), c0.tolist())):
+                T = X[j:j + w]
+                for F in reversed(factors):
+                    T = mat_mul(F[q], T, g.field, counter)
+                Y[i:i + h] += T
+        if counter is not None and len(factors) == 2:
+            counter.adds += N * h * k
+    Y %= g.field.p
+    return Y
 
 
 def mul_lt_by_flat(g: TreeGenerator, F: np.ndarray,
                    counter: OpCounter | None = None) -> np.ndarray:
     """reconstruct(g) @ F for a tall F, reduced first unless it already
-    holds residues (`_times_tall` is exact only on reduced operands)."""
+    holds residues (the tree kernel is exact only on reduced operands)."""
     if F.shape[0] != g.n:
         raise ValueError("dimension mismatch in mul_lt_by_flat")
-    return _times_tall(g.root, residues(F, g.field), g.field, counter)
+    return _tree_apply(g, residues(F, g.field), counter)
 
 
 def mul_lt_lt(gA: TreeGenerator, gB: TreeGenerator,
               counter: OpCounter | None = None) -> np.ndarray:
     """Dense A @ B of two tree represented left triangular matrices: B is
-    densified and A applied to it by the tree recursion."""
+    densified and A applied to it by the tree kernel."""
     if gA.n != gB.n:
         raise ValueError("size mismatch in mul_lt_lt")
     if gA.field != gB.field:
         raise ValueError("field mismatch in mul_lt_lt")
-    return _times_tall(gA.root, reconstruct(gB, counter), gA.field, counter)
+    return _tree_apply(gA, reconstruct(gB, counter), counter)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,35 @@ def test_mat_mul_dimension_mismatch():
                 C=np.zeros((1, 4), dtype=np.int64))
 
 
+@pytest.mark.parametrize("p", [2, 65521, 67108859, 2**31 - 1])
+def test_mat_mul_stacked_slices_equal_2d(p):
+    # (3, 48, 2, 48) and (2, 16, 16, 16) take the float64 path wherever
+    # k (p-1)**2 < 2**53, the int64 path (chunked at 2**31 - 1) elsewhere;
+    # one column, one inner index and the empty shapes take int64 always
+    f = PrimeField(p)
+    rng = np.random.default_rng(p % 991)
+    for N, m, k, n in ((3, 48, 2, 48), (2, 16, 16, 16), (4, 7, 5, 1), (3, 9, 1, 4),
+                       (5, 1, 33, 1), (0, 16, 16, 16), (2, 5, 0, 3), (2, 0, 3, 4)):
+        A, B, C = (rng.integers(0, p, (N,) + shape, dtype=np.int64)
+                   for shape in ((m, k), (k, n), (m, n)))
+        for fused in (False, True):
+            c = OpCounter()
+            got = mat_mul(A, B, f, c, C=C if fused else None)
+            assert got.shape == (N, m, n) and got.dtype == np.int64
+            for s in range(N):
+                assert np.array_equal(got[s], mat_mul(A[s], B[s], f, C=C[s] if fused else None))
+            assert c.muls == N * m * k * n
+            assert c.adds == N * m * n * max(k - 1, 0) + (N * m * n if fused and k else 0)
+    # unequal batches, unequal inner dimensions, a batch against a matrix,
+    # 4-d operands, and a C without the batch
+    for a, b, c in (((2, 3, 4), (3, 4, 5), None), ((2, 3, 4), (2, 5, 6), None),
+                    ((3, 4), (2, 4, 5), None), ((1, 2, 3, 4), (1, 2, 4, 5), None),
+                    ((2, 3, 4), (2, 4, 5), (3, 5))):
+        with pytest.raises(ValueError):
+            mat_mul(np.zeros(a, dtype=np.int64), np.zeros(b, dtype=np.int64), f,
+                    C=None if c is None else np.zeros(c, dtype=np.int64))
+
+
 def _trsm_shapes():
     """(field, r, k) where the halving splits r unevenly, at the modulus edges."""
     return itertools.product((F2, F65521, F2147483647), (0, 1, 2, 3, 31, 33, 100),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from quasisep import (OpCounter, lt_bruhat, mat, mat_mul, mat_vec,
                       qs_orders_bruteforce, qs_to_dense, random_left_triangular,
                       random_matrix, random_qs, reconstruct, reverse_rows,
                       tree_generator)
+from quasisep.generators import TreeLeaf
+from quasisep.textio import format_tree, parse_tree
 
-from util import F2, F5, F65521, F2147483647, dense_matvec
+from util import F2, F3, F5, F65521, F2147483647, dense_matvec, structured_corpus
 
 
 def test_reconstruct_empty_generators():
@@ -125,6 +129,64 @@ def test_matvec_qs_diagonal_and_basis_vector():
     e1 = np.zeros(8, dtype=np.int64)
     e1[0] = 1
     assert np.array_equal(matvec_qs(qsm, e1), M[:, 0])
+
+
+def _tree_blocks(g):
+    """(h, r) of every node and (a, b) of every leaf, by walking the tree."""
+    nodes, leaves, stack = [], [], [g.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TreeLeaf):
+            leaves.append(node.block.shape)
+        else:
+            nodes.append((node.pluq.m, node.pluq.r))
+            stack += [node.top_right, node.bottom_left]
+    return nodes, leaves
+
+
+@pytest.mark.parametrize("f", (F2, F3, F65521, F2147483647), ids=lambda f: str(f.p))
+def test_tree_apply_matches_dense_with_exact_counts(f):
+    # both triangles of a random_qs matrix, then the banded and tridiagonal
+    # families; one column takes the stacked path, more the per-block one
+    rng = np.random.default_rng(411)
+    for n in (0, 1, 2, 5, 33, 100, 257, 300):
+        s = min(3, max(n - 1, 0))
+        M = random_qs(n, s, s, n, f)
+        inputs = [reverse_rows(np.tril(M, -1)), np.triu(M, 1)[:, ::-1].copy()]
+        inputs += [A for _, A in structured_corpus((f,), (n,))]
+        for A in inputs:
+            g = tree_generator(A, f)
+            loaded = parse_tree(format_tree(g))
+            nodes, leaves = _tree_blocks(g)
+            muls = 2 * sum(h * r for h, r in nodes) + sum(a * b for a, b in leaves)
+            adds = sum(2 * h * r - r for h, r in nodes if r) \
+                + sum(a * max(b - 1, 0) for a, b in leaves)
+            for k in (1, 2, 17):
+                X = rng.integers(0, f.p, (n, k), dtype=np.int64)
+                want = mat_mul(A, X, f)
+                for h in (g, loaded):
+                    applies = [lambda c: mul_lt_by_flat(h, X, c)]
+                    if k == 1:
+                        applies.append(lambda c: matvec_tree(h, X[:, 0], c)[:, None])
+                    for apply in applies:
+                        c = OpCounter()
+                        assert np.array_equal(apply(c), want), (n, k)
+                        assert (c.muls, c.adds) == (k * muls, k * adds), (n, k)
+
+
+def test_matvec_tree_builds_nothing_per_call():
+    # the groups are derived when the generator is built, so one call
+    # allocates only a few vectors
+    n = 512
+    g = tree_generator(random_left_triangular(n, 8, 12, F65521), F65521)
+    x = np.random.default_rng(412).integers(0, F65521.p, n, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        matvec_tree(g, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n
 
 
 def test_mul_lt_by_flat():

@@ -125,8 +125,9 @@ def random_invertible_tridiagonal(n, seed, field):
     while True:
         T = np.zeros((n, n), dtype=np.int64)
         T[np.arange(n), np.arange(n)] = rng.integers(0, p, n)
-        T[np.arange(n - 1) + 1, np.arange(n - 1)] = rng.integers(1, p, n - 1)
-        T[np.arange(n - 1), np.arange(n - 1) + 1] = rng.integers(1, p, n - 1)
+        i = np.arange(max(n - 1, 0))
+        T[i + 1, i] = rng.integers(1, p, len(i))
+        T[i, i + 1] = rng.integers(1, p, len(i))
         try:
             return T, inv_matrix(T, field)
         except ZeroDivisionError:
