@@ -1,9 +1,11 @@
 """Reconstruction, structured matrix-vector products and multiplication.
 
-`_bruhat_apply` is the one kernel that applies a Bruhat triple, to a
-vector or a block: a single cumulative sum over all upper segments serves
-every left-region truncation, so each column costs one multiplication per
-stored nonzero.  A compact generator is decoded by
+A Bruhat triple is applied to a vector by `_bruhat_apply`: a single
+cumulative sum over all upper segments serves every left-region
+truncation.  It is applied to an n x k block by `_bruhat_walk`, one walk
+over the columns that keeps a running sum for each of the at most s
+pivots live on the current column.  Both cost one multiplication per
+stored nonzero and column.  A compact generator is decoded by
 `generators.compact_to_bruhat` and applied the same way; a tree generator
 is applied by `_tree_apply`, one depth and factor shape at a time from
 the groups the generator derives on construction.  Products are dense:
@@ -16,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import OpCounter, mat_mul, residues, reverse_cols, reverse_rows
+from .field import (_INT64_MAX, OpCounter, mat_mul, residues, reverse_cols,
+                    reverse_rows)
 from .generators import (BruhatGenerator, CompactBruhatGenerator, QsMatrix,
                          TreeGenerator, bruhat_reconstruct,
                          compact_to_bruhat, tree_dense)
@@ -37,50 +40,127 @@ def reconstruct(g, counter: OpCounter | None = None) -> np.ndarray:
 # matrix-vector products
 
 
-def _bruhat_apply(g: BruhatGenerator, X: np.ndarray,
+def _flat_segments(g: BruhatGenerator) -> tuple:
+    """(pivots, lens, base, d) of a generator of rank >= 1: its pivots as an
+    r x 2 array and its segments' lengths, and for each entry of the
+    concatenated segments the flat start of its segment and its offset
+    within it."""
+    piv = np.array(g.pivots, dtype=np.int64)
+    lens = g.n - 1 - piv[:, 0] - piv[:, 1]
+    base = np.repeat(np.cumsum(lens) - lens, lens)
+    return piv, lens, base, np.arange(base.size) - base
+
+
+def _bruhat_apply(g: BruhatGenerator, x: np.ndarray,
                   counter: OpCounter | None) -> np.ndarray:
-    """Left(L E^T U) X for a reduced vector or n x k block X.
+    """Left(L E^T U) x for a reduced vector x.
 
     The pivot at (i, j) with segments l, u of length m adds to row i + d
     the value l_d * sum(u_t x_{j+t} for t <= m - 1 - d): the left-region
     truncation.  All segments go at once: one cumulative sum over the
     concatenated products u_t x_{j+t} mod p (exact in int64, each term is
     below p < 2**31), less each segment's base, read at the truncation
-    points and scattered into the rows.  Block columns go in slices that
-    keep every temporary near n * n elements.
+    points and scattered into the rows.
     """
     n, p = g.n, g.field.p
-    X2 = X[:, None] if X.ndim == 1 else X
     if counter is not None:
-        nnz = X2.shape[1] * (g.nnz_lower() + g.nnz_upper())
+        nnz = g.nnz_lower() + g.nnz_upper()
         counter.muls += nnz
         counter.adds += nnz
-    Y = np.zeros(X2.shape, dtype=np.int64)
-    lens = np.array([len(seg) for seg in g.lower_segs], dtype=np.int64)
-    total = int(lens.sum())
-    if total:
-        piv = np.array(g.pivots, dtype=np.int64)
-        base = np.repeat(np.cumsum(lens) - lens, lens)   # flat start of the segment
-        d = np.arange(total) - base                       # offset within the segment
-        rows = np.repeat(piv[:, 0], lens) + d
-        cols = np.repeat(piv[:, 1], lens) + d
-        cut = base + np.repeat(lens, lens) - d            # one past the last term kept
-        lower = np.concatenate(g.lower_segs)[:, None]
-        upper = np.concatenate(g.upper_segs)[:, None]
-        width = max(1, n * n // total)
-        for c in range(0, X2.shape[1], width):
-            terms = upper * X2[cols, c:c + width]
-            terms %= p
-            sums = np.zeros((total + 1, terms.shape[1]), dtype=np.int64)
-            np.cumsum(terms, axis=0, out=sums[1:])
-            terms = sums[cut]
-            terms -= sums[base]
-            terms %= p
-            terms *= lower
-            terms %= p
-            np.add.at(Y[:, c:c + width], rows, terms)
+    y = np.zeros(n, dtype=np.int64)
+    if g.rank:
+        piv, lens, base, d = _flat_segments(g)
+        terms = np.concatenate(g.upper_segs) * x[np.repeat(piv[:, 1], lens) + d]
+        terms %= p
+        sums = np.zeros(d.size + 1, dtype=np.int64)
+        np.cumsum(terms, out=sums[1:])
+        terms = sums[base + np.repeat(lens, lens) - d]    # one past the last term kept
+        terms -= sums[base]
+        terms %= p
+        terms *= np.concatenate(g.lower_segs)
+        terms %= p
+        np.add.at(y, np.repeat(piv[:, 0], lens) + d, terms)
+    y %= p
+    return y
+
+
+def _bruhat_slots(g: BruhatGenerator) -> tuple:
+    """(U, L, enter) for `_bruhat_walk`: n x w slot tables and the slot each
+    column's entering pivot takes (-1 where none enters).
+
+    The pivot at (i, j) is live on columns j .. n-2-i.  Taken by start
+    column, each pivot gets a slot freed by a pivot that ended before
+    column j, or a new one only when every slot is live there, so w is the
+    most pivots live on one column: the order of g.  U[c] holds the live
+    pivots' upper entries u_(c-j) and L[c] their lower entries
+    l_(n-2-c-i); every other entry is zero.
+    """
+    n, piv = g.n, g.pivots
+    slot = [0] * g.rank
+    enter = [-1] * n
+    free, width, e = [], 0, g.rank - 1    # pivots by row descending: by end
+    for a in sorted(range(g.rank), key=lambda a: piv[a][1]):
+        j = piv[a][1]
+        while n - 2 - piv[e][0] < j:      # pivot e ended before column j
+            free.append(slot[e])
+            e -= 1
+        if free:
+            slot[a] = free.pop()
+        else:
+            slot[a], width = width, width + 1
+        enter[j] = slot[a]
+    U = np.zeros((n, width), dtype=np.int64)
+    L = np.zeros((n, width), dtype=np.int64)
+    if g.rank:
+        P, lens, base, d = _flat_segments(g)
+        at = (np.repeat(P[:, 1], lens) + d, np.repeat(np.array(slot), lens))
+        U[at] = np.concatenate(g.upper_segs)
+        L[at] = np.concatenate(g.lower_segs)[base + np.repeat(lens, lens) - 1 - d]
+    return U, L, enter
+
+
+def _bruhat_walk(g: BruhatGenerator, X: np.ndarray,
+                 counter: OpCounter | None) -> np.ndarray:
+    """Left(L E^T U) X for a reduced n x k block X, by one walk over the
+    columns of the left region.
+
+    Row n-2-c reads columns 0 .. c of X through the pivots (i, j) with
+    j <= c <= n-2-i, those of the leading (n-1-c) x (c+1) block, so at
+    most the order s of g.  Each keeps the running sum of u_t x_(j+t) over
+    the columns walked so far in one of the s slots of `_bruhat_slots`:
+    column c adds U[c] (x) X[c] to the sums, reduced, and row n-2-c is
+    L[c] . sums.  Where s (p-1)**2 would overflow int64 each product is
+    reduced before the sum.  The counts are those of `_bruhat_apply`, k
+    multiplications and additions per stored nonzero.
+    """
+    n, k = X.shape
+    p = g.field.p
+    if counter is not None:
+        nnz = k * (g.nnz_lower() + g.nnz_upper())
+        counter.muls += nnz
+        counter.adds += nnz
+    U, L, enter = _bruhat_slots(g)
+    w = U.shape[1]
+    Y = np.zeros((n, k), dtype=np.int64)
+    if not w:
+        return Y
+    S = np.zeros((w, k), dtype=np.int64)
+    T = np.empty((w, k), dtype=np.int64)
+    exact = w * (p - 1) ** 2 <= _INT64_MAX
+    for c in range(n - 1):
+        if enter[c] >= 0:
+            S[enter[c]] = 0
+        np.multiply(U[c, :, None], X[c], out=T)
+        S += T
+        S %= p
+        if exact:
+            np.dot(L[c], S, out=Y[n - 2 - c])
+        else:
+            np.multiply(L[c, :, None], S, out=T)
+            T %= p
+            T.sum(axis=0, out=Y[n - 2 - c])
     Y %= p
-    return Y[:, 0] if X.ndim == 1 else Y
+    return Y
 
 
 def matvec_bruhat(g: BruhatGenerator, x: np.ndarray,
@@ -103,7 +183,9 @@ def matvec_tree(g: TreeGenerator, x: np.ndarray,
 
 def _rep_times(rep, X: np.ndarray, counter: OpCounter | None) -> np.ndarray:
     """rep @ X for a reduced X.  A vector goes through the public matvecs,
-    a block straight to the tree or Bruhat kernel."""
+    a block straight to `_tree_apply` or to the Bruhat column walk
+    `_bruhat_walk`; a compact generator is decoded to its Bruhat triple
+    first."""
     if isinstance(rep, CompactBruhatGenerator):
         rep = compact_to_bruhat(rep)
     if isinstance(rep, TreeGenerator):
@@ -111,7 +193,7 @@ def _rep_times(rep, X: np.ndarray, counter: OpCounter | None) -> np.ndarray:
             else _tree_apply(rep, X, counter)
     if isinstance(rep, BruhatGenerator):
         return matvec_bruhat(rep, X, counter) if X.ndim == 1 \
-            else _bruhat_apply(rep, X, counter)
+            else _bruhat_walk(rep, X, counter)
     raise TypeError(f"no product for {type(rep).__name__}")
 
 

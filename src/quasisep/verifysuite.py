@@ -171,8 +171,8 @@ def _check_mul_qs(rng, trial):
     n = int(rng.integers(2, 28))
     MA, MB = (random_qs(n, int(rng.integers(0, min(n, 4))), int(rng.integers(0, min(n, 4))),
                         _seed(rng), FIELD) for _ in range(2))
-    qa = qs_from_dense(MA, "tree", FIELD)
-    qb = qs_from_dense(MB, "tree", FIELD)
+    qa = qs_from_dense(MA, REP_KINDS[trial % 3], FIELD)
+    qb = qs_from_dense(MB, REP_KINDS[trial // 3 % 3], FIELD)
     return (np.array_equal(mul_qs_qs(qa, qb), mat_mul(MA, MB, FIELD))
             and np.array_equal(qs_to_dense(qa), MA))
 

@@ -3,13 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quasisep import (OpCounter, lt_bruhat, mat, mat_mul, mat_vec,
-                      matvec_bruhat, matvec_qs, matvec_tree, mul_lt_by_flat,
-                      mul_lt_lt, mul_qs_qs, qs_from_dense,
-                      qs_orders_bruteforce, qs_to_dense, random_left_triangular,
-                      random_matrix, random_qs, reconstruct, reverse_rows,
-                      tree_generator)
+from quasisep import (OpCounter, compact_bruhat, compact_to_bruhat, lt_bruhat,
+                      mat, mat_mul, mat_vec, matvec_bruhat, matvec_qs,
+                      matvec_tree, mul_lt_by_flat, mul_lt_lt, mul_qs_qs,
+                      qs_from_dense, qs_order, qs_orders_bruteforce,
+                      qs_to_dense, random_left_triangular, random_matrix,
+                      random_qs, reconstruct, reverse_rows, tree_generator)
 from quasisep.generators import TreeLeaf
+from quasisep.structops import _rep_times
 from quasisep.textio import format_tree, parse_tree
 
 from util import F2, F3, F5, F65521, F2147483647, dense_matvec, structured_corpus
@@ -76,6 +77,53 @@ def test_matvec_bruhat_counts_exactly_the_stored_nonzeros():
         c = OpCounter()
         assert np.array_equal(matvec_bruhat(g, x, c), dense_matvec(A, x, f))
         assert c.muls == c.adds == g.nnz_lower() + g.nnz_upper()
+
+
+@pytest.mark.parametrize("f", (F2, F3, F65521, F2147483647), ids=lambda f: str(f.p))
+def test_bruhat_block_equals_matvec_columns_with_exact_counts(f):
+    # a block goes through the column walk, one column at a time through
+    # the vector kernel; both count k multiplications and additions per
+    # stored nonzero, for Bruhat and for compact generators
+    rng = np.random.default_rng(413)
+    for n in (0, 1, 2, 33, 100):
+        s = min(3, max(n - 1, 0))
+        M = random_qs(n, s, s, n, f)
+        inputs = [reverse_rows(np.tril(M, -1)), np.triu(M, 1)[:, ::-1].copy()]
+        inputs += [A for _, A in structured_corpus((f,), (n,))]
+        for A in inputs:
+            g = lt_bruhat(A, f)
+            nnz = g.nnz_lower() + g.nnz_upper()
+            cb = compact_bruhat(g, qs_order(g.pivots, n))
+            for rep, h in ((g, g), (cb, compact_to_bruhat(cb))):
+                for k in (0, 1, 2, 17):
+                    X = rng.integers(0, f.p, (n, k), dtype=np.int64)
+                    c = OpCounter()
+                    Y = _rep_times(rep, X, c)
+                    assert Y.shape == (n, k)
+                    for q in range(k):
+                        assert np.array_equal(Y[:, q], matvec_bruhat(h, X[:, q])), (n, k)
+                    assert c.muls == c.adds == k * nnz, (n, k)
+
+
+def test_bruhat_block_apply_holds_no_rank_by_k_array():
+    # tridiagonal: n - 1 pivots but one live running sum per column, so a
+    # block apply holds little beyond its n x k result
+    n, k = 512, 64
+    A = np.zeros((n, n), dtype=np.int64)
+    i = np.arange(n - 1)
+    rng = np.random.default_rng(414)
+    A[n - 2 - i, i] = rng.integers(1, F65521.p, n - 1)
+    g = lt_bruhat(A, F65521)
+    assert g.rank == n - 1
+    X = rng.integers(0, F65521.p, (n, k), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        Y = _rep_times(g, X, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(Y, mat_mul(A, X, F65521))
+    assert peak < 1.5 * 8 * n * k
 
 
 def test_matvec_tree_oracle():
@@ -326,6 +374,29 @@ def test_mul_qs_qs_converts_other_representations():
                         for g in (qa.lower, qa.upper):
                             matvec_tree(g, np.zeros(n, dtype=np.int64), cm)
                         assert c.muls <= n * cm.muls + cb.muls + n * n
+
+
+def test_mul_qs_qs_three_or_more_live_sums_at_the_modulus_edges():
+    # orders 4 and 5 keep up to five running sums live in the block walk:
+    # at p = 2**31 - 1 three unreduced products of them overflow int64
+    for f in (F2, F3, F2147483647):
+        for n in (7, 33, 64, 100):
+            M = random_qs(n, min(4, n - 1), min(5, n - 1), 13 + n, f)
+            N = random_qs(n, min(2, n - 1), min(1, n - 1), 14 + n, f)
+            want = mat_mul(M, N, f)
+            qb = qs_from_dense(N, "bruhat", f)
+            cb = OpCounter()
+            qs_to_dense(qb, cb)
+            for ka in ("bruhat", "compact"):
+                qa = qs_from_dense(M, ka, f)
+                sides = [compact_to_bruhat(g) if ka == "compact" else g
+                         for g in (qa.lower, qa.upper)]
+                if n >= 33:
+                    assert max(qs_order(g.pivots, n) for g in sides) >= 3
+                nnz = sum(g.nnz_lower() + g.nnz_upper() for g in sides)
+                c = OpCounter()
+                assert np.array_equal(mul_qs_qs(qa, qb, c), want), (f, n, ka)
+                assert c.muls == n * nnz + cb.muls + n * n, (f, n, ka)
 
 
 def test_mul_qs_qs_commutes_with_densify():
