@@ -13,8 +13,7 @@ import time
 import numpy as np
 
 from . import verifysuite
-from .field import (OpCounter, PrimeField, reverse_cols, reverse_rows,
-                    strict_lower, strict_upper)
+from .field import OpCounter, PrimeField, strict_lower, strict_upper
 from .generators import REP_KINDS, _represent, random_qs, tree_generator
 from .orders import lt_rpm, qs_order
 from .pluq import pluq_rpm
@@ -37,16 +36,15 @@ def cmd_analyze(args) -> int:
     n = M.shape[0]
     if M.shape != (n, n):
         raise ParseError("analyze expects a square matrix")
-    low = reverse_rows(strict_lower(M))
-    up = reverse_cols(strict_upper(M))
-    piv_low = lt_rpm(low, field)
-    piv_up = lt_rpm(up, field)
+    piv_low = lt_rpm(M[::-1], field)
+    piv_up = lt_rpm(M[:, ::-1], field)
     print(f"n {n}")
     print(f"p {field.p}")
     print(f"r_l {qs_order(piv_low.pivots, n)}")
     print(f"r_u {qs_order(piv_up.pivots, n)}")
-    print(f"rank_lower {pluq_rpm(low, field).r}")
-    print(f"rank_upper {pluq_rpm(up, field).r}")
+    # reversing rows or columns keeps the rank
+    print(f"rank_lower {pluq_rpm(strict_lower(M), field).r}")
+    print(f"rank_upper {pluq_rpm(strict_upper(M), field).r}")
     print(f"pivots_lower {piv_low.rank}")
     print(f"pivots_upper {piv_up.rank}")
     return 0
@@ -67,8 +65,7 @@ def cmd_compress(args) -> int:
     n = M.shape[0]
     if M.shape != (n, n):
         raise ParseError("compress expects a square matrix")
-    parts = {"lower": reverse_rows(strict_lower(M)),
-             "upper": reverse_cols(strict_upper(M))}
+    parts = {"lower": M[::-1], "upper": M[:, ::-1]}
     print(f"kind {args.kind}")
     print(f"n {n}")
     print(f"p {field.p}")
@@ -100,13 +97,13 @@ def cmd_verify(args) -> int:
 def _bench_cell(algo: str, n: int, s: int, field: PrimeField, seed: int) -> tuple:
     """One CSV row, in BENCH_HEADER's order."""
     M = random_qs(n, s, s, seed, field)
-    A = reverse_rows(strict_lower(M))
+    A = M[::-1]
     s_actual = qs_order(lt_rpm(A, field).pivots, n)
     counter = OpCounter()
     stored = 0
     if algo == "mul_lt_lt":
         gA = tree_generator(A, field)
-        gB = tree_generator(reverse_cols(strict_upper(M)), field)
+        gB = tree_generator(M[:, ::-1], field)
         t0 = time.perf_counter_ns()
         mul_lt_lt(gA, gB, counter)
         stored = n * n

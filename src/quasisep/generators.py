@@ -1,6 +1,8 @@
 """Rank-structured representations of left triangular matrices.
 
-Three representations are built here:
+Three representations are built here.  Each represents the left part of
+any square input and reads nothing outside it, so a caller passes the
+triangles of M as the reversed views M[::-1] and M[:, ::-1]:
 
 * a binary tree of PLUQ decompositions, split as the elimination in
   `orders`: a node is an a x b block with left region i + j <= c (the
@@ -31,9 +33,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .field import (OpCounter, Permutation, PrimeField, is_left_triangular,
-                    left_part, mat_mul, region_mask, residues,
-                    reverse_cols, reverse_rows, strict_lower, strict_upper)
+from .field import (OpCounter, Permutation, PrimeField, left_part, mat_mul,
+                    region_mask, residues, strict_lower, strict_upper)
 from .orders import _left_elimination, qs_order
 from .pluq import PluqDecomposition, pluq_rpm
 
@@ -128,8 +129,11 @@ class TreeGenerator:
 def tree_generator(A: np.ndarray, field: PrimeField,
                    counter: OpCounter | None = None,
                    leaf_size: int = 4) -> TreeGenerator:
-    """Binary-tree PLUQ representation of a left triangular matrix.
+    """Binary-tree PLUQ representation of the left triangular part of A.
 
+    Like `lt_bruhat`, it reads A only inside the left region, on views:
+    a node's h x h block lies inside it and `pluq_rpm` reduces it, and a
+    leaf reduces its block with everything outside its region set to 0.
     `build` never splits a block of at most leaf_size rows and columns.
     Bottom up, a node whose h x h block has full rank and whose children
     are leaves becomes one leaf of its whole a x b block, so a subtree
@@ -141,24 +145,26 @@ def tree_generator(A: np.ndarray, field: PrimeField,
     leave fewer blocks to apply.
     """
     n = A.shape[0]
-    if not is_left_triangular(A):
-        raise ValueError("tree_generator expects a left triangular matrix")
+    if A.shape != (n, n):
+        raise ValueError("tree_generator expects a square matrix")
     if leaf_size < 1:
         raise ValueError("leaf_size must be positive")
 
+    def leaf(B: np.ndarray, c: int) -> TreeLeaf:
+        return TreeLeaf(np.where(region_mask(*B.shape, c), residues(B, field), 0))
+
     def build(B: np.ndarray, c: int):
         if max(B.shape) <= leaf_size:
-            return TreeLeaf(B.copy())
+            return leaf(B, c)
         h = (c + 2) // 2
         node = TreeNode(pluq_rpm(B[:h, :h], field, counter),
                         build(B[:h, h:], c - h), build(B[h:, :h], c - h))
         if node.pluq.r == h and isinstance(node.top_right, TreeLeaf) \
                 and isinstance(node.bottom_left, TreeLeaf):
-            return TreeLeaf(B.copy())
+            return leaf(B, c)
         return node
 
-    return TreeGenerator(n, build(np.asarray(A, dtype=np.int64) % field.p, n - 2),
-                         field, leaf_size)
+    return TreeGenerator(n, build(A, n - 2), field, leaf_size)
 
 
 def tree_dense(g: TreeGenerator, counter: OpCounter | None = None) -> np.ndarray:
@@ -560,11 +566,7 @@ def qs_from_dense(M: np.ndarray, rep_kind: str, field: PrimeField,
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("qs_from_dense expects a square matrix")
-    if rep_kind == "tree":           # stores blocks: needs the triangles
-        low = reverse_rows(strict_lower(M))
-        up = reverse_cols(strict_upper(M))
-    else:                            # the elimination reads left regions only
-        low, up = M[::-1], M[:, ::-1]
+    # every kind reads only its input's left region: pass J M and M J as views
     return QsMatrix(n, field, rep_kind, residues(M.diagonal(), field).copy(),
-                    _represent(low, rep_kind, field, counter),
-                    _represent(up, rep_kind, field, counter))
+                    _represent(M[::-1], rep_kind, field, counter),
+                    _represent(M[:, ::-1], rep_kind, field, counter))

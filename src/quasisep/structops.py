@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import (_INT64_MAX, OpCounter, mat_mul, residues, reverse_cols,
-                    reverse_rows)
+from .field import _INT64_MAX, OpCounter, mat_mul, residues
 from .generators import (BruhatGenerator, CompactBruhatGenerator, QsMatrix,
                          TreeGenerator, bruhat_reconstruct,
                          compact_to_bruhat, tree_dense)
@@ -279,11 +278,12 @@ def mul_lt_lt(gA: TreeGenerator, gB: TreeGenerator,
 def qs_to_dense(M: QsMatrix, counter: OpCounter | None = None) -> np.ndarray:
     """Densify: J @ rep(lower) puts the strict lower part back in place,
     rep(upper) @ J the strict upper part."""
-    low = reverse_rows(reconstruct(M.lower, counter))
-    up = reverse_cols(reconstruct(M.upper, counter))
+    out = reconstruct(M.lower, counter)[::-1] + reconstruct(M.upper, counter)[:, ::-1]
+    out.flat[::M.n + 1] += M.diag
     if counter is not None:
         counter.adds += 2 * M.n * M.n
-    return (low + up + np.diag(M.diag)) % M.field.p
+    out %= M.field.p
+    return out
 
 
 def mul_qs_qs(A: QsMatrix, B: QsMatrix,

@@ -8,13 +8,15 @@ from quasisep import (CompressionError, OpCounter, compact_bruhat,
                       left_part, lt_bruhat, lt_rpm, mat,
                       qs_from_dense, qs_order, qs_order_bruteforce,
                       qs_orders_bruteforce, qs_to_dense, random_left_triangular,
-                      random_matrix, random_qs, reconstruct, rpm_bruteforce,
+                      random_matrix, random_qs, reconstruct, reverse_cols,
+                      reverse_rows, rpm_bruteforce, strict_lower, strict_upper,
                       tree_generator)
 from quasisep import orders
-from quasisep.generators import TreeLeaf, TreeNode
+from quasisep.generators import REP_KINDS, TreeLeaf, TreeNode, _represent
+from quasisep.textio import format_tree
 
-from util import (BASE_SIZES, F2, F5, F65521, F2147483647, decode_compact_side,
-                  dense_factor)
+from util import (BASE_SIZES, EDGE_FIELDS, F2, F5, F65521, F2147483647,
+                  decode_compact_side, dense_factor)
 
 # edges of the modulus range at sizes from 1 up to past a power of two
 EDGE_CASES = [(f, n) for f in (F2, F2147483647) for n in (1, 2, 7, 16, 33)]
@@ -97,9 +99,25 @@ def test_tree_five_by_five_splits_at_two():
     assert np.array_equal(reconstruct(g), A)
 
 
-def test_tree_rejects_non_left_triangular():
+def test_every_kind_represents_the_left_part_of_any_square():
+    # each kind reads only the left region and reduces what it stores, so
+    # a reversed view of M builds the same tree as its reversed triangle
+    rng = np.random.default_rng(310)
+    for f in EDGE_FIELDS:
+        for n in (0, 1, 2, 5, 33, 100):
+            M = rng.integers(-f.p, 2 * f.p, (n, n), dtype=np.int64)
+            for kind in REP_KINDS:
+                assert np.array_equal(reconstruct(_represent(M, kind, f)),
+                                      left_part(M % f.p))
+            for view, triangle in ((M[::-1], reverse_rows(strict_lower(M))),
+                                   (M[:, ::-1], reverse_cols(strict_upper(M)))):
+                assert format_tree(tree_generator(view, f)) \
+                    == format_tree(tree_generator(triangle, f))
+
+
+def test_tree_rejects_non_square():
     with pytest.raises(ValueError):
-        tree_generator(np.ones((3, 3), dtype=np.int64), F5)
+        tree_generator(np.zeros((3, 4), dtype=np.int64), F5)
 
 
 def test_tree_rejects_nonpositive_leaf_size():
@@ -534,6 +552,14 @@ def test_qs_from_dense_roundtrip():
         kind = ("tree", "bruhat", "compact")[trial % 3]
         qs = qs_from_dense(M, kind, F65521)
         assert np.array_equal(qs_to_dense(qs), M)
+
+
+def test_tree_qs_from_dense_peaks_below_one_dense_matrix():
+    # below one n x n int64: the triangles are read as views, never copied
+    n = 512
+    M = random_qs(n, 8, 8, 1, F65521)
+    _, peak = _traced_peak(lambda: qs_from_dense(M, "tree", F65521))
+    assert peak < 8 * n * n
 
 
 def test_qs_from_dense_diagonal():
