@@ -9,6 +9,7 @@ out the 1-based convention where a definition is usually stated that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,11 +19,13 @@ _FLOAT_EXACT = 1 << 53     # float64 holds every integer below this exactly
 _FLOAT_MIN_WORK = 4096     # m*k*n where the float64 path starts to win
 
 
+@lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
     """Trial division below 2**16, where it takes at most 128 divisions
     and allocates less than one modular power; above it, deterministic
     Miller-Rabin: the bases 2, 7 and 61 decide every p < 4,759,123,141,
-    which covers the word range below 2**31."""
+    which covers the word range below 2**31.  The verdicts of the last
+    few moduli are cached, since every `PrimeField` call asks again."""
     if p < 2:
         return False
     if p % 2 == 0:
@@ -174,12 +177,17 @@ def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
     order, so the product runs in float64 BLAS and is converted back to
     int64 before the reduction (the approach of FFLAS-FFPACK).  C is
     subtracted before that conversion, still exactly, since every value
-    lies in (-k (p-1)**2, p), so the update costs one reduction.  Products
-    below _FLOAT_MIN_WORK multiplications, and those with one column or
-    one inner index, stay on int64: there converting the operands costs as
-    much as the product.  On the int64 path accumulation, started from C,
-    is chunked so that partial sums never exceed int64 range, which
-    matters only for moduli close to the 2**31 bound.
+    lies in (-k (p-1)**2, p), so the update costs one reduction.  Where
+    k (p-1)**2 >= 2**53, `_limb_product` cuts the smaller operand into
+    limbs narrow enough for every limb product to be exact in float64 and
+    hands back an array congruent to A B, finished the same way.
+    Products below _FLOAT_MIN_WORK multiplications, and those with one
+    column or one inner index, stay on int64: there converting the
+    operands costs as much as the product.  So does k (p-1) >= 2**53,
+    where not even one-bit limbs would be exact: over four million inner
+    indices near the 2**31 bound.  On the int64 path accumulation,
+    started from C, is chunked so that partial sums never exceed int64
+    range, which matters only for moduli close to the 2**31 bound.
     """
     sa, sb = A.shape, B.shape
     if len(sa) != len(sb) or len(sa) not in (2, 3):
@@ -199,12 +207,14 @@ def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
             counter.adds += N * m * n
     if k == 0 or 0 in shape:
         return np.zeros(shape, dtype=np.int64) if C is None else C % p
-    if (n > 1 and k > 1 and m * k * n >= _FLOAT_MIN_WORK
-            and k * (p - 1) ** 2 < _FLOAT_EXACT):
-        R = A.astype(np.float64) @ B.astype(np.float64)
+    if n > 1 and k > 1 and m * k * n >= _FLOAT_MIN_WORK and k * (p - 1) < _FLOAT_EXACT:
+        if k * (p - 1) ** 2 < _FLOAT_EXACT:
+            R = A.astype(np.float64) @ B.astype(np.float64)
+        else:
+            R = _limb_product(A, B, p)
         if C is not None:
             np.subtract(C, R, out=R)
-        R = R.astype(np.int64)
+        R = R.astype(np.int64, copy=False)
         R %= p
         return R
     step = max(1, (_INT64_MAX - p) // ((p - 1) ** 2))
@@ -216,6 +226,65 @@ def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
         acc, A = C, -A
     for lo in range(0, k, step):
         acc = (acc + A[..., lo:lo + step] @ B[..., lo:lo + step, :]) % p
+    return acc
+
+
+def _limb_product(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """`mat_mul`'s float64 product for k (p-1)**2 >= 2**53 > k (p-1):
+    an array congruent to A B mod p, float64 below 2**53 or int64 below
+    2**62, so that the caller finishes it as a plain float64 product.
+
+    The smaller operand X is cut into l limbs of b bits with `>>` and `&`,
+    X = sum_i X_i 2**(b i); Y is the other.  The powers 2**(b i) are
+    joined on the smaller side, so that no temporary is larger than both
+    the output and the float64 copy of an operand that a plain product
+    makes:
+    - when the l-fold operands fit in the output, on Y: X Y is congruent
+      to sum_i X_i ((2**(b i) Y) mod p), one GEMM with inner dimension
+      l k, exact for b the largest with l k (2**b - 1)(p-1) < 2**53;
+    - otherwise on the output: one GEMM per limb into one float64
+      buffer, against Y converted once, exact for b the largest with
+      k (2**b - 1)(p-1) < 2**53, and joined from the top limb down by
+      Horner's rule in int64, acc = (acc mod p) 2**b + R_i, which stays
+      below 2**31 2**b + 2**53 < 2**62.
+    The first case is the one of few inner indices and a large output,
+    where it spares the output l - 1 reductions.  Its b stays >= 1: b = 0
+    would need k > 2**17, and the operands' l-fold size is then below the
+    output's only for outputs of over 2**38 entries.
+    """
+    k, n = B.shape[-2:]
+    bits = (p - 1).bit_length()
+    b = ((_FLOAT_EXACT - 1) // (k * (p - 1)) + 1).bit_length() - 1
+    limbs = -(-bits // b)
+    mask = (1 << b) - 1
+    left = A.size <= B.size
+    if limbs * (A.size + B.size) <= A.size // k * n:
+        while limbs * k * mask * (p - 1) >= _FLOAT_EXACT:
+            b -= 1
+            limbs, mask = -(-bits // b), (1 << b) - 1
+        shift = b * np.arange(limbs)
+        As, Bs = A[..., None, :], B[..., None, :, :]
+        if left:
+            As = (As >> shift[:, None]) & mask
+            Bs = (Bs << shift[:, None, None]) % p
+        else:
+            As = (As << shift[:, None]) % p
+            Bs = (Bs >> shift[:, None, None]) & mask
+        As = As.reshape(A.shape[:-1] + (-1,)).astype(np.float64)
+        Bs = Bs.reshape(B.shape[:-2] + (-1, n)).astype(np.float64)
+        return As @ Bs
+    X, Y = (A, B) if left else (B, A)
+    Y = Y.astype(np.float64)
+    R = acc = None
+    for i in reversed(range(limbs)):
+        L = ((X >> (b * i)) & mask).astype(np.float64)
+        R = np.matmul(L, Y, out=R) if left else np.matmul(Y, L, out=R)
+        if acc is None:
+            acc = R.astype(np.int64)
+            continue
+        acc %= p
+        acc <<= b
+        np.add(acc, R, out=acc, dtype=np.int64, casting="unsafe")
     return acc
 
 

@@ -302,8 +302,13 @@ def mul_qs_qs(A: QsMatrix, B: QsMatrix,
     n = A.n
     Bd = qs_to_dense(B, counter)
     low = _rep_times(A.lower, Bd, counter)[::-1]
-    up = _rep_times(A.upper, Bd[::-1], counter)
+    out = _rep_times(A.upper, Bd[::-1], counter)
     if counter is not None:
         counter.muls += n * n
         counter.adds += 2 * n * n
-    return (low + up + A.diag[:, None] * Bd) % A.field.p
+    out += low
+    del low
+    Bd *= A.diag[:, None]
+    out += Bd
+    out %= A.field.p
+    return out

@@ -22,6 +22,11 @@ def test_modulus_validation():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(2**31)
+    # the primality verdict is cached; the checks still run on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            PrimeField(4)
+        assert PrimeField(2**31 - 1).p == 2**31 - 1
 
 
 def test_is_prime_small_range_against_trial_division():
@@ -85,23 +90,35 @@ def _python_int_product(A, B, p, C=None):
     return (AB if C is None else C.astype(object) - AB) % p
 
 
-# (p, m, k, n): float64 BLAS where k (p-1)^2 < 2^53 and m k n >= 4096 with
-# k, n > 1, int64 otherwise.  Entries p-2 make every product odd, so an odd
+# (p, m, k, n): float64 BLAS where m k n >= 4096 with k, n > 1, int64
+# otherwise.  Where k (p-1)^2 >= 2^53 the smaller operand is cut into l
+# limbs of b bits: one GEMM with inner dimension l k where the l-fold
+# operands fit in the output ("stacked"), else one GEMM per limb joined by
+# Horner's rule ("Horner").  Entries p-2 make every product odd, so an odd
 # sum of three or more rounded in float64 past 2^53 would show; random
 # entries catch the rest.  Each shape also runs the fused C - A B, whose
 # extremes are C = 0 under a full product and C = p-1.
 _MAT_MUL_EDGES = [
     (67108859, 64, 1, 64),      # one inner index: int64
     (67108859, 48, 2, 48),      # 2 (p-1)^2 = 2^53 - 1610612664: float64
-    (67108859, 40, 3, 40),      # 3 (p-1)^2 > 2^53: int64
+    (67108859, 40, 3, 40),      # 3 (p-1)^2 > 2^53: l = 2, stacked
     (94906249, 64, 1, 64),      # (p-1)^2 = 2^53 - 3345303488: int64
-    (94906249, 48, 2, 48),      # 2 (p-1)^2 > 2^53: int64
+    (94906249, 48, 2, 48),      # 2 (p-1)^2 > 2^53: l = 2, stacked
+    (94906249, 40, 3, 40),      # l = 2, stacked
+    (94906249, 4, 3, 400),      # l = 2, Horner
     (2, 16, 16, 16),
     (65521, 16, 16, 16),        # m k n = 4096, just at the threshold: float64
     (65521, 63, 5, 13),         # m k n = 4095, just below it: int64
     (65521, 512, 8, 1),         # one column: int64
-    (2**31 - 1, 16, 16, 16),    # (p-1)^2 > 2^53 / 16: int64, chunked
+    (2**31 - 1, 16, 16, 16),    # (p-1)^2 > 2^53 / 16: l = 2, Horner
     (2**31 - 1, 7, 2, 9),       # two inner indices fit int64: one chunk
+    (2**31 - 1, 48, 2, 48),     # l = 2, stacked
+    (2**31 - 1, 40, 3, 40),     # l = 2, stacked
+    (2**31 - 1, 64, 8, 48),     # l = 2, stacked, limbs of the right operand
+    (2**31 - 1, 24, 9, 20),     # l = 2, Horner, limbs of the right operand
+    (2**31 - 1, 8, 64, 9),      # l = 2, Horner
+    (2**31 - 1, 3, 512, 3),     # l = 3, Horner
+    (2**31 - 1, 2, 2049, 2),    # l = 3, Horner
     (3, 16, 16, 16),
     (3, 63, 5, 13),
     (2, 9, 3, 1),
@@ -177,11 +194,14 @@ def test_mat_mul_dimension_mismatch():
 @pytest.mark.parametrize("p", [2, 65521, 67108859, 2**31 - 1])
 def test_mat_mul_stacked_slices_equal_2d(p):
     # (3, 48, 2, 48) and (2, 16, 16, 16) take the float64 path wherever
-    # k (p-1)**2 < 2**53, the int64 path (chunked at 2**31 - 1) elsewhere;
+    # k (p-1)**2 < 2**53, float64 limbs elsewhere: stacked in one GEMM for
+    # (3, 48, 2, 48) and (3, 64, 8, 48), joined by Horner's rule for
+    # (2, 16, 16, 16), (2, 24, 9, 20) and (2, 3, 512, 3) at 2**31 - 1;
     # one column, one inner index and the empty shapes take int64 always
     f = PrimeField(p)
     rng = np.random.default_rng(p % 991)
-    for N, m, k, n in ((3, 48, 2, 48), (2, 16, 16, 16), (4, 7, 5, 1), (3, 9, 1, 4),
+    for N, m, k, n in ((3, 48, 2, 48), (2, 16, 16, 16), (3, 64, 8, 48), (2, 24, 9, 20),
+                       (2, 3, 512, 3), (4, 7, 5, 1), (3, 9, 1, 4),
                        (5, 1, 33, 1), (0, 16, 16, 16), (2, 5, 0, 3), (2, 0, 3, 4)):
         A, B, C = (rng.integers(0, p, (N,) + shape, dtype=np.int64)
                    for shape in ((m, k), (k, n), (m, n)))

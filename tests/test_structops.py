@@ -399,6 +399,24 @@ def test_mul_qs_qs_three_or_more_live_sums_at_the_modulus_edges():
                 assert c.muls == n * nnz + cb.muls + n * n, (f, n, ka)
 
 
+@pytest.mark.parametrize("f", [F65521, F2147483647], ids=lambda f: str(f.p))
+def test_mul_qs_qs_tree_peak_memory(f):
+    # the sum of the lower, diagonal and upper parts is built in place in
+    # the upper part's result, and no mat_mul inside holds more than its
+    # float64 product and int64 result
+    n = 512
+    qa, qb = (qs_from_dense(random_qs(n, 8, 8, seed, f), "tree", f) for seed in (31, 32))
+    tracemalloc.start()
+    try:
+        got = mul_qs_qs(qa, qb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, mat_mul(qs_to_dense(qa), qs_to_dense(qb), f))
+    assert peak < 4.75 * 8 * n * n
+
+
 def test_mul_qs_qs_commutes_with_densify():
     rng = np.random.default_rng(407)
     for _ in range(10):
