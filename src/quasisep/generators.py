@@ -8,10 +8,13 @@ triangles of M as the reversed views M[::-1] and M[:, ::-1]:
   `orders`: a node is an a x b block with left region i + j <= c (the
   root is n x n with c = n - 2); it factors its top-left h x h block,
   h = floor((c + 2) / 2), and recurses on the h x (b - h) top-right and
-  (a - h) x h bottom-left blocks, each with region c - h.  A node whose
-  factored block has full rank and whose children are both leaves is
+  (a - h) x h bottom-left blocks, each with region c - h.  A block whose
+  h x h block has full rank and whose children are both leaves is
   stored as one dense leaf, so leaves grow to about twice the order on
-  random inputs at the same stored count,
+  random inputs at the same stored count.  That is decided bottom up
+  before anything is factored: one stacked exact rank test per depth
+  for h up to `pluq._ROW_BASE`, `pluq_rpm` alone above it, and only the
+  blocks that stay nodes are factored,
 * the sparse (L, E, U) triple made of the left parts of the permuted
   PLUQ factors, stored as one column/row segment per pivot,
 * its block compression into a block-diagonal D plus sub-diagonal S with
@@ -36,7 +39,7 @@ import numpy as np
 from .field import (OpCounter, Permutation, PrimeField, left_part, mat_mul,
                     region_mask, residues, strict_lower, strict_upper)
 from .orders import _left_elimination, qs_order
-from .pluq import PluqDecomposition, pluq_rpm
+from .pluq import _ROW_BASE, PluqDecomposition, pluq_rpm
 
 
 class CompressionError(RuntimeError):
@@ -134,15 +137,26 @@ def tree_generator(A: np.ndarray, field: PrimeField,
     Like `lt_bruhat`, it reads A only inside the left region, on views:
     a node's h x h block lies inside it and `pluq_rpm` reduces it, and a
     leaf reduces its block with everything outside its region set to 0.
-    `build` never splits a block of at most leaf_size rows and columns.
-    Bottom up, a node whose h x h block has full rank and whose children
-    are leaves becomes one leaf of its whole a x b block, so a subtree
-    that is full rank all the way down is one leaf.  That stores the same:
-    the node's 2*h*r - r**2 = h**2 entries are the h x h block, which lies
+    A block of at most leaf_size rows and columns is never split.  A
+    split block whose h x h block has full rank and whose children are
+    leaves becomes one leaf of its whole a x b block, so a subtree that is
+    full rank all the way down is one leaf.  That stores the same: the
+    node's 2*h*r - r**2 = h**2 entries are the h x h block, which lies
     inside the region since 2h - 2 <= c, and the (a - h) x (b - h) block
     it leaves out lies outside it since 2h > c, so the leaf's region slots
     are the node's entries plus its children's.  Fewer, larger leaves
     leave fewer blocks to apply.
+
+    The blocks of one depth share c, and so h.  The collapses are decided
+    bottom up, one depth at a time, before anything is factored: the
+    candidates are the split blocks whose children are both leaves, and
+    their h x h blocks take one stacked rank test, `_full_rank`, while h
+    is at most `_ROW_BASE`.  A larger candidate is factored alone by
+    `pluq_rpm`, and that factorization serves its node if it is not full
+    rank.  Then the nodes are factored top down, so that the temporaries
+    of the large factorizations never sit beside a built tree, and the
+    tree is put together bottom up.  Only the blocks that stay nodes are
+    factored, each once, and only the final leaves are built.
     """
     n = A.shape[0]
     if A.shape != (n, n):
@@ -153,18 +167,97 @@ def tree_generator(A: np.ndarray, field: PrimeField,
     def leaf(B: np.ndarray, c: int) -> TreeLeaf:
         return TreeLeaf(np.where(region_mask(*B.shape, c), residues(B, field), 0))
 
-    def build(B: np.ndarray, c: int):
-        if max(B.shape) <= leaf_size:
-            return leaf(B, c)
+    levels = [([A], n - 2)]        # each depth's blocks, as views of A, and c
+    kids = []          # per depth: where block k's two children start one depth down
+    while True:
+        blocks, c = levels[-1]
         h = (c + 2) // 2
-        node = TreeNode(pluq_rpm(B[:h, :h], field, counter),
-                        build(B[:h, h:], c - h), build(B[h:, :h], c - h))
-        if node.pluq.r == h and isinstance(node.top_right, TreeLeaf) \
-                and isinstance(node.bottom_left, TreeLeaf):
-            return leaf(B, c)
-        return node
+        below, at = [], []
+        for B in blocks:
+            split = max(B.shape) > leaf_size
+            at.append(len(below) if split else None)
+            below += [B[:h, h:], B[h:, :h]] if split else []
+        kids.append(at)
+        if not below:
+            break
+        levels.append((below, c - h))
 
-    return TreeGenerator(n, build(A, n - 2), field, leaf_size)
+    leafy = [[j is None for j in at] for at in kids]
+    pluqs = {}         # (depth, k): the factorization of a block that stays a node
+    for d in reversed(range(len(levels))):
+        blocks, c = levels[d]
+        h = (c + 2) // 2
+        cand = [k for k, j in enumerate(kids[d])
+                if j is not None and leafy[d + 1][j] and leafy[d + 1][j + 1]]
+        if h <= _ROW_BASE:
+            full = _full_rank([blocks[k][:h, :h] for k in cand], field, counter) if cand else []
+        else:
+            tried = [pluq_rpm(blocks[k][:h, :h], field, counter) for k in cand]
+            full = [t.r == h for t in tried]
+            pluqs.update(((d, k), t) for k, t in zip(cand, tried) if t.r < h)
+        for k, f in zip(cand, full):
+            leafy[d][k] = bool(f)
+
+    for d, (blocks, c) in enumerate(levels):   # top down: the large ones while little is built
+        h = (c + 2) // 2
+        for k, B in enumerate(blocks):
+            if not (leafy[d][k] or (d, k) in pluqs):
+                pluqs[d, k] = pluq_rpm(B[:h, :h], field, counter)
+
+    made = []          # the depth below's blocks: a TreeNode, or None for a leaf
+    for d in reversed(range(len(levels))):
+        blocks, c = levels[d]
+        h = (c + 2) // 2
+        below, made = made, []
+        for k, B in enumerate(blocks):
+            j = kids[d][k]
+            made.append(None if leafy[d][k] else TreeNode(
+                pluqs[d, k], below[j] or leaf(B[:h, h:], c - h),
+                below[j + 1] or leaf(B[h:, :h], c - h)))
+    return TreeGenerator(n, made[0] or leaf(A, n - 2), field, leaf_size)
+
+
+def _full_rank(blocks, field: PrimeField,
+               counter: OpCounter | None = None) -> np.ndarray:
+    """Which of N k x k blocks, a list or an N x k x k stack, have rank k mod p.
+
+    An exact elimination of all the blocks at once, on one reduced stack
+    of their own: at step t each live block brings its first row from t on
+    with a nonzero in column t up to row t, or has rank below k and drops
+    out.  The rows below take the fraction-free update row * pivot -
+    row[t] * pivot row on the columns after t, with no inverse; both
+    products of reduced entries stay below 2**62.  Only the trailing
+    block is carried on, and copied only when blocks drop out.  It stops
+    once no block is left, and counts 2 m**2 multiplications and m**2
+    additions per live block at a step that leaves an m x m block.
+    """
+    p = field.p
+    W = np.stack(blocks).astype(np.int64, copy=False)
+    W %= p
+    full = np.zeros(len(W), dtype=bool)
+    live = np.arange(len(W))
+    while W.shape[1]:           # W holds the live blocks' trailing blocks
+        nz = W[:, :, 0] != 0
+        has = nz.any(axis=1)
+        if not has.all():
+            live, W, nz = live[has], W[has], nz[has]
+            if not len(live):
+                return full
+        at = np.arange(len(live))
+        rows = nz.argmax(axis=1)            # the first row with a nonzero
+        pivot = W[at, rows]                 # a copy, so row 0 may take its place
+        W[at, rows] = W[:, 0]
+        col, W = W[:, 1:, :1], W[:, 1:, 1:]
+        m = W.shape[1]
+        if m:
+            W *= pivot[:, None, :1]
+            W -= col * pivot[:, None, 1:]
+            W %= p
+            if counter is not None:
+                counter.muls += 2 * m * m * len(live)
+                counter.adds += m * m * len(live)
+    full[live] = True
+    return full
 
 
 def tree_dense(g: TreeGenerator, counter: OpCounter | None = None) -> np.ndarray:

@@ -11,12 +11,15 @@ from quasisep import (CompressionError, OpCounter, compact_bruhat,
                       random_matrix, random_qs, reconstruct, reverse_cols,
                       reverse_rows, rpm_bruteforce, strict_lower, strict_upper,
                       tree_generator)
-from quasisep import orders
-from quasisep.generators import REP_KINDS, TreeLeaf, TreeNode, _represent
+from quasisep import generators, orders
+from quasisep.field import mat_mul
+from quasisep.generators import REP_KINDS, TreeLeaf, TreeNode, _full_rank, _represent
+from quasisep.pluq import pluq_rpm
 from quasisep.textio import format_tree
 
 from util import (BASE_SIZES, EDGE_FIELDS, F2, F5, F65521, F2147483647,
-                  decode_compact_side, dense_factor)
+                  decode_compact_side, dense_factor, per_node_tree,
+                  random_invertible_tridiagonal, structured_corpus)
 
 # edges of the modulus range at sizes from 1 up to past a power of two
 EDGE_CASES = [(f, n) for f in (F2, F2147483647) for n in (1, 2, 7, 16, 33)]
@@ -147,6 +150,116 @@ def test_tree_storage_bound():
             else qs_order(lt_rpm(A, F65521).pivots, n)
         g = tree_generator(A, F65521)
         assert g.stored_elements() <= s * n * (int(np.ceil(np.log2(n / s))) + 1), (n, s)
+
+
+def _nodes(node):
+    if isinstance(node, TreeLeaf):
+        return 0
+    return 1 + _nodes(node.top_right) + _nodes(node.bottom_left)
+
+
+@pytest.mark.parametrize("f", EDGE_FIELDS, ids=lambda f: str(f.p))
+def test_tree_collapses_as_the_per_node_rule(f, monkeypatch):
+    # order-s, full-rank, tridiagonal, structured and zero inputs, with
+    # entries in [-p, 2p) on the full-rank ones, through both reversed views
+    rng = np.random.default_rng(f.p % 1009)
+    cases = []
+    for n in (0, 1, 2, 5, 8, 33, 64, 100, 257):
+        cases += [random_left_triangular(n, s, n + s, f) for s in (1, 2, 4, 16) if s < n]
+        M = rng.integers(-f.p, 2 * f.p, (n, n), dtype=np.int64)
+        T, _ = random_invertible_tridiagonal(n, n, f)
+        cases += [M[::-1], M[:, ::-1], T[::-1], T[:, ::-1], np.zeros((n, n), dtype=np.int64)]
+    cases += [A for _, A in structured_corpus((f,), (2, 33, 64))]
+    verdicts = []
+
+    def recorded(W, field, counter=None):
+        verdicts.append(_full_rank(W, field, counter))
+        return verdicts[-1]
+
+    monkeypatch.setattr(generators, "_full_rank", recorded)
+    for A in cases:
+        for leaf_size in (1, 4):
+            g, ref = tree_generator(A, f, leaf_size=leaf_size), per_node_tree(A, f, leaf_size)
+            assert format_tree(g) == format_tree(ref)
+            assert g.stored_elements() == ref.stored_elements()
+    if f.p == 2:       # many small blocks are singular: one stack holds both verdicts
+        assert any(v.any() and not v.all() for v in verdicts)
+
+
+def test_tree_factors_each_node_once_and_nothing_else(monkeypatch):
+    calls = []
+
+    def counted(B, field, counter=None):
+        calls.append(B.shape)
+        return pluq_rpm(B, field, counter)
+
+    monkeypatch.setattr(generators, "pluq_rpm", counted)
+    # order below 32: every candidate with h > 32 fails, and its one
+    # factorization serves its node
+    for n, s in ((300, 16), (257, 4), (100, 1)):
+        calls.clear()
+        g = tree_generator(random_left_triangular(n, s, n, F65521), F65521)
+        assert len(calls) == _nodes(g.root) > 0
+    # full rank: the stacked test collapses both 50 x 50 children, and the
+    # root, a candidate with h = 50, is factored alone and collapses
+    calls.clear()
+    g = tree_generator(np.random.default_rng(1).integers(0, F65521.p, (100, 100)), F65521)
+    assert isinstance(g.root, TreeLeaf) and calls == [(50, 50)]
+
+
+def _rank_test_stack(rng, f, k, kinds):
+    """k x k blocks of the given kinds, with entries in [-p, 2p)."""
+    p = f.p
+    blocks = []
+    for kind in kinds:
+        B = rng.integers(0, p, (k, k), dtype=np.int64)
+        if kind == "low":
+            r = int(rng.integers(0, k))
+            B = mat_mul(B[:, :r], rng.integers(0, p, (r, k), dtype=np.int64), f) \
+                if r else np.zeros((k, k), dtype=np.int64)
+        elif kind == "last":       # the last column a combination of the others
+            B[:, -1:] = mat_mul(B[:, :-1], rng.integers(0, p, (k - 1, 1), dtype=np.int64), f) \
+                if k > 1 else 0
+        elif kind == "zero":
+            B[...] = 0
+        blocks.append(B + p * rng.integers(-1, 2, (k, k)))
+    return np.stack(blocks)
+
+
+@pytest.mark.parametrize("f", EDGE_FIELDS, ids=lambda f: str(f.p))
+def test_full_rank_kernel_matches_pluq(f):
+    rng = np.random.default_rng(f.p % 1013)
+    kinds = ("random", "low", "last", "zero")
+    for k in (1, 2, 5, 32):
+        stacks = [[kind] for kind in kinds] + [list(rng.choice(kinds, 7)) for _ in range(4)]
+        for chosen in stacks:
+            W = _rank_test_stack(rng, f, k, chosen)
+            before = W.copy()
+            expect = [pluq_rpm(B, f).r == k for B in W]
+            assert _full_rank(W, f).tolist() == expect, (k, chosen)
+            assert np.array_equal(W, before)
+
+
+def test_full_rank_kernel_counts_two_muls_per_updated_entry():
+    # full rank; a zero first column, out at step 0; the last column equal
+    # to the first, out at step 2.  Two blocks take step 0's 2 x 2 update
+    # and step 1's 1 x 1 update, at 2 multiplications and 1 addition each
+    W = np.array([[[1, 2, 0], [0, 1, 0], [0, 0, 1]],
+                  [[0, 1, 2], [0, 3, 4], [0, 1, 1]],
+                  [[1, 2, 1], [3, 1, 3], [2, 2, 2]]], dtype=np.int64)
+    c = OpCounter()
+    assert _full_rank(W, F5, c).tolist() == [True, False, False]
+    assert (c.muls, c.adds, c.invs) == (2 * 2 * (4 + 1), 2 * (4 + 1), 0)
+    c = OpCounter()
+    assert _full_rank(np.zeros((4, 6, 6), dtype=np.int64), F5, c).tolist() == [False] * 4
+    assert (c.muls, c.adds) == (0, 0)
+
+
+def test_full_rank_kernel_peaks_at_a_few_stacks():
+    rng = np.random.default_rng(7)
+    W = _rank_test_stack(rng, F65521, 32, ["random", "low"] * 32) % F65521.p
+    _, peak = _traced_peak(lambda: _full_rank(W, F65521))
+    assert peak < 3 * W.nbytes      # its own stack and one product's temporary
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from quasisep import PrimeField, left_part, random_left_triangular, rank
+from quasisep import (PrimeField, TreeGenerator, left_part, pluq_rpm,
+                      random_left_triangular, rank)
+from quasisep.field import region_mask, residues
+from quasisep.generators import TreeLeaf, TreeNode
 
 
 def schoolbook_mul(A, B, field):
@@ -195,6 +198,28 @@ def split_tree_storage(A, field, leaf_size=4):
         r = rank(B[:h, :h], field)
         return 2 * h * r - r * r + walk(B[:h, h:], c - h) + walk(B[h:, :h], c - h)
     return walk(np.asarray(A) % field.p, A.shape[0] - 2)
+
+
+def per_node_tree(A, field, leaf_size=4):
+    """The tree by the per-node rule, top down: every split block is
+    factored by `pluq_rpm`, and one whose h x h block has full rank and
+    whose children are leaves is replaced by one leaf of its whole block."""
+    def leaf(B, c):
+        return TreeLeaf(np.where(region_mask(*B.shape, c), residues(B, field), 0))
+
+    def build(B, c):
+        if max(B.shape) <= leaf_size:
+            return leaf(B, c)
+        h = (c + 2) // 2
+        node = TreeNode(pluq_rpm(B[:h, :h], field),
+                        build(B[:h, h:], c - h), build(B[h:, :h], c - h))
+        if node.pluq.r == h and isinstance(node.top_right, TreeLeaf) \
+                and isinstance(node.bottom_left, TreeLeaf):
+            return leaf(B, c)
+        return node
+
+    n = A.shape[0]
+    return TreeGenerator(n, build(A, n - 2), field, leaf_size)
 
 
 # sizes around one and two elimination base blocks, and one past them
