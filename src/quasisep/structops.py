@@ -2,35 +2,47 @@
 
 A Bruhat triple is applied to a vector by `_bruhat_apply`: a single
 cumulative sum over all upper segments serves every left-region
-truncation.  It is applied to an n x k block by `_bruhat_walk`, one walk
-over the columns that keeps a running sum for each of the at most s
-pivots live on the current column.  Both cost one multiplication per
-stored nonzero and column.  A compact generator is decoded by
-`generators.compact_to_bruhat` and applied the same way; a tree generator
-is applied by `_tree_apply`, one depth and factor shape at a time from
-the groups the generator derives on construction.  Products are dense:
-`mul_qs_qs` densifies its right operand and applies the left operand's
-own representations to it, whatever the two kinds, and `mul_lt_lt` does
-the same for two tree represented left triangular matrices.
+truncation.  It is applied to an n x k block by `_bruhat_walk`, a walk
+over the columns, _BLOCK at a time, that keeps a running sum for each of
+the at most s pivots live on a column: one fused `mat_mul` per block of
+columns makes the block's rows and the next sums.  Both count one
+multiplication per stored nonzero and column, and a Bruhat side of rank
+above _BLOCK + 2s is densified by the same walk.  A compact generator is
+decoded by `generators.compact_to_bruhat` and applied the same way; a
+tree generator is applied by `_tree_apply`, one depth and factor shape
+at a time from the groups the generator derives on construction.
+Products are dense: `mul_qs_qs` densifies its right operand and applies
+the left operand's own representations to it, whatever the two kinds,
+and `mul_lt_lt` does the same for two tree represented left triangular
+matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import _INT64_MAX, OpCounter, mat_mul, residues
+from .field import OpCounter, mat_mul, residues
 from .generators import (BruhatGenerator, CompactBruhatGenerator, QsMatrix,
                          TreeGenerator, bruhat_reconstruct,
                          compact_to_bruhat, tree_dense)
+from .orders import qs_order
+
+_BLOCK = 32     # columns of the left region per step of `_bruhat_walk`
 
 
 def reconstruct(g, counter: OpCounter | None = None) -> np.ndarray:
-    """Densify any of the three left triangular representations."""
+    """Densify any of the three left triangular representations.  A Bruhat
+    triple of rank r and order w costs n r n products as n x r pivot
+    columns times r x n pivot rows, and about n n (_BLOCK + 2 w) by the
+    block walk on the identity, which takes over when r is larger."""
     if isinstance(g, CompactBruhatGenerator):
         g = compact_to_bruhat(g)
     if isinstance(g, TreeGenerator):
         return tree_dense(g, counter)
     if isinstance(g, BruhatGenerator):
+        # the order's O(n) sweep only when the rank can pass the bound
+        if g.rank > _BLOCK and g.rank > _BLOCK + 2 * qs_order(g.pivots, g.n):
+            return _bruhat_walk(g, None, counter)
         return bruhat_reconstruct(g, counter)
     raise TypeError(f"no reconstruction for {type(g).__name__}")
 
@@ -84,8 +96,8 @@ def _bruhat_apply(g: BruhatGenerator, x: np.ndarray,
 
 
 def _bruhat_slots(g: BruhatGenerator) -> tuple:
-    """(U, L, enter) for `_bruhat_walk`: n x w slot tables and the slot each
-    column's entering pivot takes (-1 where none enters).
+    """(U, L, own) for `_bruhat_walk`: n x w slot tables and, for each
+    column and slot, the pivot that holds the slot there (-1 where none).
 
     The pivot at (i, j) is live on columns j .. n-2-i.  Taken by start
     column, each pivot gets a slot freed by a pivot that ended before
@@ -96,7 +108,6 @@ def _bruhat_slots(g: BruhatGenerator) -> tuple:
     """
     n, piv = g.n, g.pivots
     slot = [0] * g.rank
-    enter = [-1] * n
     free, width, e = [], 0, g.rank - 1    # pivots by row descending: by end
     for a in sorted(range(g.rank), key=lambda a: piv[a][1]):
         j = piv[a][1]
@@ -107,58 +118,69 @@ def _bruhat_slots(g: BruhatGenerator) -> tuple:
             slot[a] = free.pop()
         else:
             slot[a], width = width, width + 1
-        enter[j] = slot[a]
     U = np.zeros((n, width), dtype=np.int64)
     L = np.zeros((n, width), dtype=np.int64)
+    own = np.full((n, width), -1, dtype=np.int64)
     if g.rank:
         P, lens, base, d = _flat_segments(g)
         at = (np.repeat(P[:, 1], lens) + d, np.repeat(np.array(slot), lens))
         U[at] = np.concatenate(g.upper_segs)
         L[at] = np.concatenate(g.lower_segs)[base + np.repeat(lens, lens) - 1 - d]
-    return U, L, enter
+        own[at] = np.repeat(np.arange(g.rank), lens)
+    return U, L, own
 
 
-def _bruhat_walk(g: BruhatGenerator, X: np.ndarray,
+def _bruhat_walk(g: BruhatGenerator, X: np.ndarray | None,
                  counter: OpCounter | None) -> np.ndarray:
-    """Left(L E^T U) X for a reduced n x k block X, by one walk over the
-    columns of the left region.
+    """Left(L E^T U) X for a reduced n x k block X, or the n x n
+    Left(L E^T U) itself when X is None (X the identity, made a block at a
+    time), by a walk over the columns of the left region, _BLOCK at a time.
 
     Row n-2-c reads columns 0 .. c of X through the pivots (i, j) with
-    j <= c <= n-2-i, those of the leading (n-1-c) x (c+1) block, so at
-    most the order s of g.  Each keeps the running sum of u_t x_(j+t) over
-    the columns walked so far in one of the s slots of `_bruhat_slots`:
-    column c adds U[c] (x) X[c] to the sums, reduced, and row n-2-c is
-    L[c] . sums.  Where s (p-1)**2 would overflow int64 each product is
-    reduced before the sum.  The counts are those of `_bruhat_apply`, k
-    multiplications and additions per stored nonzero.
+    j <= c <= n-2-i, at most the order w of g.  Each keeps the running sum
+    of u_t x_(j+t) over the columns walked so far in its slot of
+    `_bruhat_slots`.  With S the w x k sums after column c0-1, the block of
+    columns c0 .. c1-1 takes one `mat_mul`:
+
+        [ L'  K  ]   [ S          ]   [ rows n-2-c, c = c0 .. c1-1 ]
+        [ D   U' ] . [ X[c0 : c1] ] = [ the sums after column c1-1 ]
+
+    L' is L's block rows kept where the slot's pivot was live at c0-1.
+    K[c, t] (t <= c) sums L[c, slot] U[t, slot] over the slots one pivot
+    holds at both c and t, each product reduced before the sum.  D keeps
+    the sums whose pivot is still live at c1-1, and U' is the transposed
+    block of U kept where the slot's pivot is that live at c1-1.  The
+    counts are those of `_bruhat_apply`, k multiplications and additions
+    per stored nonzero; the inner products are not counted.
     """
-    n, k = X.shape
+    n = g.n
+    k = n if X is None else X.shape[1]
     p = g.field.p
     if counter is not None:
         nnz = k * (g.nnz_lower() + g.nnz_upper())
         counter.muls += nnz
         counter.adds += nnz
-    U, L, enter = _bruhat_slots(g)
+    U, L, own = _bruhat_slots(g)
     w = U.shape[1]
     Y = np.zeros((n, k), dtype=np.int64)
-    if not w:
-        return Y
     S = np.zeros((w, k), dtype=np.int64)
-    T = np.empty((w, k), dtype=np.int64)
-    exact = w * (p - 1) ** 2 <= _INT64_MAX
-    for c in range(n - 1):
-        if enter[c] >= 0:
-            S[enter[c]] = 0
-        np.multiply(U[c, :, None], X[c], out=T)
-        S += T
-        S %= p
-        if exact:
-            np.dot(L[c], S, out=Y[n - 2 - c])
-        else:
-            np.multiply(L[c, :, None], S, out=T)
-            T %= p
-            T.sum(axis=0, out=Y[n - 2 - c])
-    Y %= p
+    live = np.full(w, -1)                 # the pivot in each slot at c0-1
+    for c0 in range(0, n - 1 if w and k else 0, _BLOCK):
+        c1 = min(c0 + _BLOCK, n - 1)
+        b, o = c1 - c0, own[c0:c1]
+        T = L[c0:c1, None] * U[None, c0:c1]
+        T %= p
+        T *= o[:, None] == o[None]
+        M = np.zeros((b + w, w + b), dtype=np.int64)
+        M[:b, :w] = L[c0:c1] * (o == live)
+        M[:b, w:] = np.tril(T.sum(axis=2) % p)
+        M[b:, :w] = np.diag(live == o[-1])
+        M[b:, w:] = (U[c0:c1] * (o == o[-1])).T
+        live = o[-1]
+        Xb = np.eye(b, n, c0, dtype=np.int64) if X is None else X[c0:c1]
+        R = mat_mul(M, np.concatenate((S, Xb)), g.field)
+        Y[n - 1 - c1:n - 1 - c0] = R[b - 1::-1]
+        S = R[b:]
     return Y
 
 
@@ -182,9 +204,10 @@ def matvec_tree(g: TreeGenerator, x: np.ndarray,
 
 def _rep_times(rep, X: np.ndarray, counter: OpCounter | None) -> np.ndarray:
     """rep @ X for a reduced X.  A vector goes through the public matvecs,
-    a block straight to `_tree_apply` or to the Bruhat column walk
-    `_bruhat_walk`; a compact generator is decoded to its Bruhat triple
-    first."""
+    an n x k block (k = 0 and k = 1 too) straight to `_tree_apply` or to
+    `_bruhat_walk`, one `mat_mul` per _BLOCK columns, counted as k
+    multiplications per stored nonzero; a compact generator is decoded to
+    its Bruhat triple first."""
     if isinstance(rep, CompactBruhatGenerator):
         rep = compact_to_bruhat(rep)
     if isinstance(rep, TreeGenerator):
@@ -292,8 +315,9 @@ def mul_qs_qs(A: QsMatrix, B: QsMatrix,
 
     B is densified and A applied to it through its own representations,
     J rep(A.lower) B + diag(A) B + rep(A.upper) J B, for every pair of
-    kinds: n block columns, each costing about one matvec with A, so
-    O(n^2 s) operations for Bruhat and compact A.
+    kinds: n block columns, each counted as about one matvec with A, so
+    O(n^2 s) operations for Bruhat and compact A, made by one `mat_mul`
+    per _BLOCK columns of each side.
     """
     if A.n != B.n:
         raise ValueError("size mismatch in mul_qs_qs")

@@ -9,11 +9,13 @@ from quasisep import (OpCounter, compact_bruhat, compact_to_bruhat, lt_bruhat,
                       qs_from_dense, qs_order, qs_orders_bruteforce,
                       qs_to_dense, random_left_triangular, random_matrix,
                       random_qs, reconstruct, reverse_rows, tree_generator)
-from quasisep.generators import TreeLeaf
-from quasisep.structops import _rep_times
+from quasisep.generators import TreeLeaf, bruhat_reconstruct
+from quasisep.structops import _BLOCK, _bruhat_slots, _bruhat_walk, _rep_times
 from quasisep.textio import format_tree, parse_tree
 
-from util import F2, F3, F5, F65521, F2147483647, dense_matvec, structured_corpus
+from util import (F2, F3, F5, F65521, F2147483647, band_matrix,
+                  bruhat_column_walk, bruhat_triple, dense_matvec,
+                  structured_corpus)
 
 
 def test_reconstruct_empty_generators():
@@ -105,6 +107,62 @@ def test_bruhat_block_equals_matvec_columns_with_exact_counts(f):
                     assert c.muls == c.adds == k * nnz, (n, k)
 
 
+def _walk_inputs(f, n):
+    """Both sides of random_qs at orders up to 5 and of a tridiagonal and a
+    band-2 matrix, then the structured corpus."""
+    s = max(n - 1, 0)
+    for M in [random_qs(n, min(t, s), min(t, s), n + t, f) for t in (1, 3, 5)] \
+            + [band_matrix(n, w, n + w, f) for w in (1, 2)]:
+        yield reverse_rows(np.tril(M, -1))
+        yield np.triu(M, 1)[:, ::-1].copy()
+    for _, A in structured_corpus((f,), (n,)):
+        yield A
+
+
+def _walk_edge_triples(f):
+    """Bruhat triples whose pivots enter on a block's first and last
+    columns, end on a block's last column, and free a slot that another
+    pivot takes again inside the same block; n - 1 is not a multiple of
+    the block width."""
+    b = _BLOCK
+    n = 3 * b + 4
+    yield bruhat_triple(n, [(n - 1 - (b + 5), 0),      # live 0 .. b + 4
+                            (n - 1 - (b + 9), b + 8),  # its slot again, same block
+                            (n - 2 - (2 * b + 4), b),  # enters on a first column
+                            (n - 2 - (2 * b + 14), 2 * b - 1),   # on a last column
+                            (n - 2 - (3 * b - 1), 2 * b),        # ends on a last one
+                            (1, 3 * b - 1), (0, 3 * b)], f, 1)
+    rng = np.random.default_rng(2)
+    for m in (b - 1, b + 1, 2 * b + 1, 4 * b + 3):
+        perm = rng.permutation(m)
+        keep = (np.arange(m) + perm <= m - 2) & (rng.random(m) < 0.5)
+        yield bruhat_triple(m, list(zip(np.flatnonzero(keep).tolist(),
+                                        perm[keep].tolist())), f, m)
+
+
+@pytest.mark.parametrize("f", (F2, F3, F65521, F2147483647), ids=lambda f: str(f.p))
+def test_block_walk_equals_the_column_walk(f):
+    # the block walk against the column-at-a-time reference: equal output
+    # and counts for every k, and on the identity the n r n outer product
+    rng = np.random.default_rng(415)
+    widest = 0
+    gens = [lt_bruhat(A, f) for n in (0, 1, 2, 5, 33, 100, 130)
+            for A in _walk_inputs(f, n)]
+    for g in gens + list(_walk_edge_triples(f)):
+        n = g.n
+        widest = max(widest, _bruhat_slots(g)[0].shape[1])
+        for k in (0, 1, 2, 17, 64):
+            X = rng.integers(0, f.p, (n, k), dtype=np.int64)
+            c, cr = OpCounter(), OpCounter()
+            assert np.array_equal(_rep_times(g, X, c), bruhat_column_walk(g, X, cr)), (n, k)
+            assert c == cr, (n, k)
+        c = OpCounter()
+        assert np.array_equal(_bruhat_walk(g, None, c), bruhat_reconstruct(g)), n
+        assert np.array_equal(reconstruct(g), bruhat_reconstruct(g)), n
+        assert c.muls == c.adds == n * (g.nnz_lower() + g.nnz_upper())
+    assert widest >= 5     # at p = 2**31 - 1, three unreduced products overflow
+
+
 def test_bruhat_block_apply_holds_no_rank_by_k_array():
     # tridiagonal: n - 1 pivots but one live running sum per column, so a
     # block apply holds little beyond its n x k result
@@ -124,6 +182,41 @@ def test_bruhat_block_apply_holds_no_rank_by_k_array():
         tracemalloc.stop()
     assert np.array_equal(Y, mat_mul(A, X, F65521))
     assert peak < 1.5 * 8 * n * k
+
+
+def test_bruhat_block_apply_on_a_square_block_holds_little_beyond_it():
+    # order 8, k = n: each column block adds only its b x b x w slot tensor,
+    # its (w + b) x k stacked operand and the product made from them
+    n = k = 512
+    g = lt_bruhat(reverse_rows(np.tril(random_qs(n, 8, 8, 416, F65521), -1)), F65521)
+    assert _bruhat_slots(g)[0].shape[1] == 8
+    X = np.random.default_rng(416).integers(0, F65521.p, (n, k), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        Y = _rep_times(g, X, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(Y, mat_mul(bruhat_reconstruct(g), X, F65521))
+    assert peak < 1.5 * 8 * n * k
+
+
+def test_qs_to_dense_of_a_tridiagonal_bruhat_matrix_walks_the_identity():
+    # rank n - 1 on each side: the walk on the identity, made a block at a
+    # time, holds the two n x n sides and their sum; the outer product of
+    # the n x r pivot columns and r x n pivot rows held about six
+    n = 512
+    T = band_matrix(n, 1, 417, F65521)
+    for kind in ("bruhat", "compact"):
+        qs = qs_from_dense(T, kind, F65521)
+        tracemalloc.start()
+        try:
+            D = qs_to_dense(qs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(D, T)
+        assert peak < 3.5 * 8 * n * n
 
 
 def test_matvec_tree_oracle():

@@ -3,10 +3,11 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from quasisep import (PrimeField, TreeGenerator, left_part, pluq_rpm,
-                      random_left_triangular, rank)
-from quasisep.field import region_mask, residues
+from quasisep import (BruhatGenerator, PrimeField, TreeGenerator, left_part,
+                      pluq_rpm, random_left_triangular, rank)
+from quasisep.field import _INT64_MAX, region_mask, residues
 from quasisep.generators import TreeLeaf, TreeNode
+from quasisep.structops import _bruhat_slots
 
 
 def schoolbook_mul(A, B, field):
@@ -89,6 +90,60 @@ def dense_factor(g, upper=False):
     return F
 
 
+def bruhat_column_walk(g, X, counter=None):
+    """Left(L E^T U) X for a reduced n x k block X, one column at a time:
+    the reference for the block walk `structops._bruhat_walk`.
+
+    Column c restarts the running sum of each slot whose holder changes
+    there (a pivot enters, or the slot falls free), adds U[c] (x) X[c] to the sums, reduced, and row n-2-c is
+    L[c] . sums; where w (p-1)**2 would overflow int64 each product is
+    reduced before the sum.  It counts k multiplications and additions
+    per stored nonzero, as the block walk does.
+    """
+    n, k = X.shape
+    p = g.field.p
+    if counter is not None:
+        nnz = k * (g.nnz_lower() + g.nnz_upper())
+        counter.muls += nnz
+        counter.adds += nnz
+    U, L, own = _bruhat_slots(g)
+    w = U.shape[1]
+    Y = np.zeros((n, k), dtype=np.int64)
+    if not w:
+        return Y
+    S = np.zeros((w, k), dtype=np.int64)
+    T = np.empty((w, k), dtype=np.int64)
+    exact = w * (p - 1) ** 2 <= _INT64_MAX
+    for c in range(n - 1):
+        S[own[c] != (own[c - 1] if c else -1)] = 0
+        np.multiply(U[c, :, None], X[c], out=T)
+        S += T
+        S %= p
+        if exact:
+            np.dot(L[c], S, out=Y[n - 2 - c])
+        else:
+            np.multiply(L[c, :, None], S, out=T)
+            T %= p
+            T.sum(axis=0, out=Y[n - 2 - c])
+    Y %= p
+    return Y
+
+
+def bruhat_triple(n, pivots, field, seed):
+    """A BruhatGenerator with the given left-region pivots (distinct rows
+    and columns) and random segments, each lower one led by 1."""
+    rng = np.random.default_rng(seed)
+    pivots = sorted(pivots)
+    lens = [n - 1 - i - j for i, j in pivots]
+    lower = [np.concatenate(([1], rng.integers(0, field.p, m - 1))).astype(np.int64)
+             for m in lens]
+    upper = [np.concatenate((rng.integers(1, field.p, 1), rng.integers(0, field.p, m - 1)))
+             for m in lens]
+    g = BruhatGenerator(n, field, pivots, lower, upper)
+    g.validate()
+    return g
+
+
 def decode_compact_side(c):
     """The dense L (or U, for the transposed side) that one COMPACT side
     encodes, read as the README's format describes it.
@@ -135,6 +190,15 @@ def random_invertible_tridiagonal(n, seed, field):
             return T, inv_matrix(T, field)
         except ZeroDivisionError:
             continue
+
+
+def band_matrix(n, w, seed, field):
+    """n x n with random nonzero entries on its 2w + 1 central diagonals:
+    tridiagonal at w = 1; both strict triangles have order w and rank n - 1."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    near = np.abs(i[:, None] - i[None]) <= w
+    return np.where(near, rng.integers(1, field.p, (n, n), dtype=np.int64), 0)
 
 
 def superdiagonal_above_antidiagonal(n):
