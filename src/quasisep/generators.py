@@ -16,14 +16,14 @@ triangles of M as the reversed views M[::-1] and M[:, ::-1]:
   for h up to `pluq._ROW_BASE`, `pluq_rpm` alone above it, and only the
   blocks that stay nodes are factored,
 * the sparse (L, E, U) triple made of the left parts of the permuted
-  PLUQ factors, stored as one column/row segment per pivot,
+  PLUQ factors, each factor's pivot segments end to end in one array,
 * its block compression into a block-diagonal D plus sub-diagonal S with
-  a column-relocation map T and an echelon permutation.  Every rule of
-  that layout lives here: `CompactEchelon.columns` says which segment
-  each D or S column holds, `_runs` turns it into the copies between
-  blocks and segments, which the packer and the decoder make in opposite
-  directions without forming an n x r matrix, and
-  `CompactBruhatGenerator.validate` checks a generator against it.
+  a column-relocation map T and an echelon permutation, each side's blocks
+  column by column in one flat array.  Every rule of that layout lives
+  here: `CompactEchelon.columns` says where each D or S column starts and
+  which segment it holds, `_runs` turns it into 1-D slice copies between
+  the two flat arrays, which the packer and the decoder make in opposite
+  directions, and `CompactBruhatGenerator.validate` checks against it.
 
 `random_qs` fabricates quasiseparable test instances and `qs_from_dense`
 splits a full matrix into diagonal plus two represented triangles.
@@ -31,7 +31,7 @@ splits a full matrix into diagonal plus two represented triangles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -287,56 +287,68 @@ class BruhatGenerator:
     For the pivot at (i, j) (0-based), the lower segment holds column j of
     L on rows i .. n-j-2 and the upper segment holds row i of U on columns
     j .. n-i-2; both have length n - i - j - 1 and the lower one leads with 1.
+    `lower` and `upper` hold them end to end in pivot order, k's from offsets[k];
+    `rows` and `cols` are the pivots' rows and columns as arrays.
     """
 
     n: int
     field: PrimeField
-    pivots: list = dc_field(default_factory=list)       # 0-based, sorted by row
-    lower_segs: list = dc_field(default_factory=list)
-    upper_segs: list = dc_field(default_factory=list)
+    pivots: list                  # 0-based, sorted by row
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):     # a pivot past the left region gets an empty segment
+        self.rows, self.cols = np.array(self.pivots, dtype=np.int64).reshape(-1, 2).T
+        self.offsets = np.cumsum(np.r_[0, np.maximum(self.n - 1 - self.rows - self.cols, 0)])
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def seg_len(self, k: int) -> int:
-        i, j = self.pivots[k]
-        return self.n - i - j - 1
+    @property
+    def lower_segs(self) -> list:
+        """Each pivot's lower segment, a view of `lower`."""
+        return np.split(self.lower, self.offsets[1:])[:-1]
+
+    @property
+    def upper_segs(self) -> list:
+        """Each pivot's upper segment, a view of `upper`."""
+        return np.split(self.upper, self.offsets[1:])[:-1]
 
     def stored_elements(self) -> int:
-        return 2 * sum(self.seg_len(k) for k in range(self.rank))
+        return self.lower.size + self.upper.size
 
     def nnz_lower(self) -> int:
-        return int(sum(np.count_nonzero(s) for s in self.lower_segs))
+        return int(np.count_nonzero(self.lower))
 
     def nnz_upper(self) -> int:
-        return int(sum(np.count_nonzero(s) for s in self.upper_segs))
+        return int(np.count_nonzero(self.upper))
 
     def validate(self) -> None:
         if sorted(self.pivots) != self.pivots:
             raise ValueError("pivots must be sorted by row")
-        rows = {i for i, _ in self.pivots}
-        cols = {j for _, j in self.pivots}
-        if len(rows) != self.rank or len(cols) != self.rank:
+        if len(set(self.rows.tolist())) != self.rank or len(set(self.cols.tolist())) != self.rank:
             raise ValueError("pivot rows/columns must be distinct")
-        for k, (i, j) in enumerate(self.pivots):
+        for i, j in self.pivots:
             if i + j > self.n - 2 or i < 0 or j < 0:
                 raise ValueError(f"pivot {(i, j)} outside the left region")
-            if len(self.lower_segs[k]) != self.seg_len(k) \
-                    or len(self.upper_segs[k]) != self.seg_len(k):
-                raise ValueError("segment length mismatch")
+        if len(self.lower) != self.offsets[-1] or len(self.upper) != self.offsets[-1]:
+            raise ValueError("segment length mismatch")
         if not self.rank:
             return
-        # every segment is nonempty, so each one's first entry sits at the
-        # sum of the lengths before it in the concatenation
-        lower, upper = np.concatenate(self.lower_segs), np.concatenate(self.upper_segs)
-        heads = np.cumsum([0] + [len(seg) for seg in self.lower_segs[:-1]])
-        if (lower[heads] != 1).any():
+        heads = self.offsets[:-1]     # every segment is nonempty
+        if (self.lower[heads] != 1).any():
             raise ValueError("lower segment must lead with 1")
-        if (upper[heads] == 0).any():
+        if (self.upper[heads] == 0).any():
             raise ValueError("upper segment must lead with a nonzero")
-        if min(lower.min(), upper.min()) < 0 or max(lower.max(), upper.max()) >= self.field.p:
+        if not all(0 <= v.min() and v.max() < self.field.p for v in (self.lower, self.upper)):
             raise ValueError("segment value out of range")
+
+
+def _from_segments(n: int, field: PrimeField, found) -> BruhatGenerator:
+    """The generator of (i, j, lower segment, upper segment) per pivot, in pivot order."""
+    flat = [np.concatenate([np.zeros(0, np.int64), *(f[k] for f in found)]) for k in (2, 3)]
+    return BruhatGenerator(n, field, [(i, j) for i, j, _, _ in found], *flat)
 
 
 def lt_bruhat(A: np.ndarray, field: PrimeField,
@@ -349,10 +361,7 @@ def lt_bruhat(A: np.ndarray, field: PrimeField,
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("lt_bruhat expects a square matrix")
-    found = _left_elimination(A, field, counter)
-    g = BruhatGenerator(n, field, [(i, j) for i, j, _, _ in found],
-                        [lower for _, _, lower, _ in found],
-                        [upper for _, _, _, upper in found])
+    g = _from_segments(n, field, _left_elimination(A, field, counter))
     g.validate()
     return g
 
@@ -389,13 +398,15 @@ class CompactEchelon:
     one block column to the left of a.  `moves` is derived from it, and so
     is `owners`: `owners[a]` is the column a's relocation chain starts from.
 
+    `data` holds D_1 .. D_t, then S_2 .. S_t, each block column by column,
+    block b from offsets[b]; `diag_blocks` and `sub_blocks` are views of it.
     Column q of D_b holds rows starts[b] .. starts[b+1]-1 of echelon column
     q's segment, and column a of S_(b+1) (a in block column b) holds the
     next block's rows of the segment of owners[a]; the rest is zero.
-    `columns` lists, for every column of diag_blocks + sub_blocks in turn,
-    its block's index there, its index in the block, the block's first row,
-    the row where it stops holding its segment (the block's end or the
-    segment's, whichever comes first) and that segment's q.
+    `columns` lists, for every column of D_1 .. D_t, S_2 .. S_t in turn,
+    where it starts in `data`, its block's first row, the row where it
+    stops holding its segment (the block's end or the segment's, whichever
+    comes first) and that segment's q.
     """
 
     n: int
@@ -404,8 +415,7 @@ class CompactEchelon:
     transposed: bool
     perm: Permutation             # full n-permutation, echelon columns first
     block_rows: list              # k_i, i = 1..t
-    diag_blocks: list             # D_i, k_i x w_i (w_t may be ragged)
-    sub_blocks: list              # S_i, k_i x s, i = 2..t
+    data: np.ndarray
     src_map: np.ndarray
 
     def __post_init__(self):
@@ -422,12 +432,15 @@ class CompactEchelon:
         self.owners = np.arange(r)
         for a in moved.tolist():      # ascending, each source to the left of its target
             self.owners[a] = self.owners[src[a]]
+        sizes = [k * w for k, w in zip(rows, widths)] + [k * s for k in rows[1:]]
+        self.offsets = np.cumsum([0] + sizes)          # where each block starts in data
         t, starts = self.t, np.array(list(accumulate(rows, initial=0)))
         q = np.concatenate([np.arange(r), self.owners[:max(t - 1, 0) * s]])
         j = np.arange(len(q))         # D's columns, then S's from r on
         b = np.where(j < r, j, j - r + s) // s        # the block's row
-        self.columns = (np.where(j < r, b, b + t - 1), np.where(j < r, j, j - r) % s,
-                        starts[b], np.minimum(starts[b + 1], self.n - 1 - self.ech_cols[q]), q)
+        blk, col = np.where(j < r, b, b + t - 1), np.where(j < r, j, j - r) % s
+        self.columns = (self.offsets[blk] + col * (starts[b + 1] - starts[b]), starts[b],
+                        np.minimum(starts[b + 1], self.n - 1 - self.ech_cols[q]), q)
 
     @property
     def r(self) -> int:
@@ -452,42 +465,34 @@ class CompactEchelon:
     def widths(self) -> list:
         return block_widths(self.r, self.s)
 
+    @property
+    def diag_blocks(self) -> list:
+        """D_1 .. D_t, k_i x w_i views of `data` (w_t may be ragged)."""
+        o = self.offsets.tolist()
+        return [self.data[o[b]:o[b + 1]].reshape(w, k).T
+                for b, (k, w) in enumerate(zip(self.block_rows, self.widths))]
+
+    @property
+    def sub_blocks(self) -> list:
+        """S_2 .. S_t, k_i x s views of `data`."""
+        o = self.offsets.tolist()[self.t:]
+        return [self.data[o[b]:o[b + 1]].reshape(self.s, k).T
+                for b, k in enumerate(self.block_rows[1:])]
+
     def stored_elements(self) -> int:
-        return int(sum(b.size for b in self.diag_blocks)
-                   + sum(b.size for b in self.sub_blocks))
+        return self.data.size
 
 
-def _runs(c: CompactEchelon, tops) -> zip:
-    """The copies between c's blocks and its segments, q's read from row
-    tops[q]: a run (block, column, first row in the block, length, q, first
-    index in q's segment) for each column of `c.columns` that its segment
+def _runs(c: CompactEchelon, tops, at) -> zip:
+    """The copies between c.data and segments laid end to end, q's from
+    index at[q] and read from row tops[q]: a run (index in data, index in
+    the segments, length) for each column of `c.columns` that its segment
     reaches."""
-    blk, col, first, last, q = c.columns
+    start, first, last, q = c.columns
     top = np.asarray(tops, dtype=np.int64)[q]
     lo = np.maximum(first, top)
     keep = lo < last
-    return zip(*(v[keep].tolist() for v in (blk, col, lo - first, last - lo, q, lo - top)))
-
-
-def _blocks(c: CompactEchelon, lead: list, seg: list) -> tuple:
-    """The D and S blocks that hold segments seg, q's from row lead[q]."""
-    shapes = list(zip(c.block_rows, c.widths)) + [(k, c.s) for k in c.block_rows[1:]]
-    blocks = [np.zeros(shape, dtype=np.int64) for shape in shapes]
-    for blk, col, i, m, q, j in _runs(c, lead):
-        blocks[blk][i:i + m, col] = seg[q][j:j + m]
-    return blocks[:c.t], blocks[c.t:]
-
-
-def _segments(c: CompactEchelon, tops) -> list:
-    """Inverse of `_blocks`: c's segments in echelon order, q's from row tops[q].
-    A loaded file can put a pivot past the left region; its segment is
-    empty, so that `BruhatGenerator.validate` names the fault."""
-    segs = [np.zeros(max(c.n - 1 - j - top, 0), dtype=np.int64)
-            for j, top in zip(c.ech_cols.tolist(), tops)]
-    blocks = c.diag_blocks + c.sub_blocks
-    for blk, col, i, m, q, j in _runs(c, tops):
-        segs[q][j:j + m] = blocks[blk][i:i + m, col]
-    return segs
+    return zip(*(v[keep].tolist() for v in (start + lo - first, at[q] + lo - top, last - lo)))
 
 
 def compress_echelon(g: BruhatGenerator, s: int, transposed: bool = False) -> CompactEchelon:
@@ -497,7 +502,7 @@ def compress_echelon(g: BruhatGenerator, s: int, transposed: bool = False) -> Co
     pairs = [(j, i) for i, j in g.pivots] if transposed else g.pivots
     order = sorted(range(r), key=lambda k: pairs[k][0])
     lead = [pairs[k][0] for k in order]
-    seg = [(g.upper_segs if transposed else g.lower_segs)[k] for k in order]
+    flat, o = (g.upper if transposed else g.lower), g.offsets.tolist()
     ech_cols = np.array([pairs[k][1] for k in order], dtype=np.int64)
     rest = np.ones(n, dtype=bool)
     rest[ech_cols] = False
@@ -509,8 +514,8 @@ def compress_echelon(g: BruhatGenerator, s: int, transposed: bool = False) -> Co
 
     # A relocation only asks of a column the last row where it still holds
     # a nonzero, its own or one parked there.
-    last = [lead[q] + int(np.flatnonzero(seg[q]).max(initial=-1))
-            for q in range(max(t - 1, 0) * s)]   # all but the last block column
+    last = [lead[q] + int(np.flatnonzero(flat[o[k]:o[k + 1]]).max(initial=-1))
+            for q, k in enumerate(order[:max(t - 1, 0) * s])]   # all but the last block column
     src_map = np.arange(r, dtype=np.int64)
     for b in range(2, t):     # block column b-2 overflows past starts[b] into b-1
         free = [k for k in range((b - 1) * s, b * s) if last[k] < starts[b]]
@@ -525,8 +530,10 @@ def compress_echelon(g: BruhatGenerator, s: int, transposed: bool = False) -> Co
             last[k], src_map[k] = last[j], j
 
     c = CompactEchelon(n, s, g.field, transposed, perm,
-                       [starts[b + 1] - starts[b] for b in range(t)], [], [], src_map)
-    c.diag_blocks, c.sub_blocks = _blocks(c, lead, seg)
+                       [starts[b + 1] - starts[b] for b in range(t)], None, src_map)
+    c.data = np.zeros(c.offsets[-1], dtype=np.int64)
+    for a, b, m in _runs(c, lead, g.offsets[order]):
+        c.data[a:a + m] = flat[b:b + m]
     return c
 
 
@@ -565,8 +572,8 @@ class CompactBruhatGenerator:
         # the decoder reads each stored entry at most once, into a slot of
         # its own, so a nonzero it never reads leaves the blocks with more
         # nonzeros than the segments
-        blocks = [b for c in (self.lower, self.upper) for b in c.diag_blocks + c.sub_blocks]
-        if sum(map(np.count_nonzero, blocks)) != g.nnz_lower() + g.nnz_upper():
+        if np.count_nonzero(self.lower.data) + np.count_nonzero(self.upper.data) \
+                != g.nnz_lower() + g.nnz_upper():
             raise ValueError("a nonzero D or S entry lies outside every segment")
 
 
@@ -579,18 +586,21 @@ def compact_bruhat(g: BruhatGenerator, s: int) -> CompactBruhatGenerator:
 
 
 def compact_to_bruhat(cb: CompactBruhatGenerator) -> BruhatGenerator:
-    """Re-extract the per-pivot segments from the D and S blocks of each
-    side; the one decoder of the compact format.  Pivot (i, j) reads L's
-    column j from row i and U's row i from column j.
+    """Copy each side's D and S blocks back into flat segments, one slice
+    per run; the one decoder of the compact format.  Pivot (i, j) reads
+    L's column j from row i and U's row i from column j.
 
     Densifying the result applies Left() to L E^T U; the plain product
     (D_L + S_L T_L) R (D_U + T_U S_U) needs that projection too (erratum).
     """
-    pivots = cb.pivots
-    upper = _segments(cb.upper, cb.lower.ech_cols[cb.R.img].tolist())
-    return BruhatGenerator(cb.n, cb.field, pivots,
-                           _segments(cb.lower, [i for i, _ in pivots]),
-                           [upper[q] for q in np.argsort(cb.R.img).tolist()])  # R^-1
+    g = BruhatGenerator(cb.n, cb.field, cb.pivots, None, None)
+    g.lower, g.upper = np.zeros((2, g.offsets[-1]), dtype=np.int64)
+    R = cb.R.img
+    for flat, c, tops, at in ((g.lower, cb.lower, g.rows, g.offsets),
+                              (g.upper, cb.upper, g.cols[R], g.offsets[R])):
+        for a, b, m in _runs(c, tops, at):
+            flat[b:b + m] = c.data[a:a + m]
+    return g
 
 
 # ---------------------------------------------------------------------------

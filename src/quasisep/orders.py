@@ -131,8 +131,8 @@ def _left_elimination(A: np.ndarray, field: PrimeField,
         del E, UQ
         rec(I, c - h, row0 + h, col0)
 
-    n = A.shape[0]
-    rec(residues(A, field), n - 2, 0, 0)
+    rec(residues(A, field), A.shape[0] - 2, 0, 0)
+    del rec          # it refers to itself: without this the cycle keeps found alive
     found.sort(key=lambda piv: piv[0])
     return found
 

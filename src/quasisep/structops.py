@@ -1,8 +1,8 @@
 """Reconstruction, structured matrix-vector products and multiplication.
 
 A Bruhat triple is applied to a vector by `_bruhat_apply`: a single
-cumulative sum over all upper segments serves every left-region
-truncation.  It is applied to an n x k block by `_bruhat_walk`, a walk
+cumulative sum over the flat array of upper segments serves every
+left-region truncation.  It is applied to an n x k block by `_bruhat_walk`, a walk
 over the columns, _BLOCK at a time, that keeps a running sum for each of
 the at most s pivots live on a column: one fused `mat_mul` per block of
 columns makes the block's rows and the next sums.  Both count one
@@ -51,17 +51,6 @@ def reconstruct(g, counter: OpCounter | None = None) -> np.ndarray:
 # matrix-vector products
 
 
-def _flat_segments(g: BruhatGenerator) -> tuple:
-    """(pivots, lens, base, d) of a generator of rank >= 1: its pivots as an
-    r x 2 array and its segments' lengths, and for each entry of the
-    concatenated segments the flat start of its segment and its offset
-    within it."""
-    piv = np.array(g.pivots, dtype=np.int64)
-    lens = g.n - 1 - piv[:, 0] - piv[:, 1]
-    base = np.repeat(np.cumsum(lens) - lens, lens)
-    return piv, lens, base, np.arange(base.size) - base
-
-
 def _bruhat_apply(g: BruhatGenerator, x: np.ndarray,
                   counter: OpCounter | None) -> np.ndarray:
     """Left(L E^T U) x for a reduced vector x.
@@ -69,9 +58,9 @@ def _bruhat_apply(g: BruhatGenerator, x: np.ndarray,
     The pivot at (i, j) with segments l, u of length m adds to row i + d
     the value l_d * sum(u_t x_{j+t} for t <= m - 1 - d): the left-region
     truncation.  All segments go at once: one cumulative sum over the
-    concatenated products u_t x_{j+t} mod p (exact in int64, each term is
-    below p < 2**31), less each segment's base, read at the truncation
-    points and scattered into the rows.
+    products u_t x_{j+t} mod p, laid end to end as g.upper (exact in int64,
+    each term is below p < 2**31), less each segment's base, read at the
+    truncation points and scattered into the rows.
     """
     n, p = g.n, g.field.p
     if counter is not None:
@@ -80,17 +69,19 @@ def _bruhat_apply(g: BruhatGenerator, x: np.ndarray,
         counter.adds += nnz
     y = np.zeros(n, dtype=np.int64)
     if g.rank:
-        piv, lens, base, d = _flat_segments(g)
-        terms = np.concatenate(g.upper_segs) * x[np.repeat(piv[:, 1], lens) + d]
+        o, lens = g.offsets, np.diff(g.offsets)
+        base = np.repeat(o[:-1], lens)
+        d = np.arange(base.size) - base         # each entry's index in its segment
+        terms = g.upper * x[np.repeat(g.cols, lens) + d]
         terms %= p
         sums = np.zeros(d.size + 1, dtype=np.int64)
         np.cumsum(terms, out=sums[1:])
-        terms = sums[base + np.repeat(lens, lens) - d]    # one past the last term kept
+        terms = sums[np.repeat(o[1:], lens) - d]    # one past the last term kept
         terms -= sums[base]
         terms %= p
-        terms *= np.concatenate(g.lower_segs)
+        terms *= g.lower
         terms %= p
-        np.add.at(y, np.repeat(piv[:, 0], lens) + d, terms)
+        np.add.at(y, np.repeat(g.rows, lens) + d, terms)
     y %= p
     return y
 
@@ -122,10 +113,11 @@ def _bruhat_slots(g: BruhatGenerator) -> tuple:
     L = np.zeros((n, width), dtype=np.int64)
     own = np.full((n, width), -1, dtype=np.int64)
     if g.rank:
-        P, lens, base, d = _flat_segments(g)
-        at = (np.repeat(P[:, 1], lens) + d, np.repeat(np.array(slot), lens))
-        U[at] = np.concatenate(g.upper_segs)
-        L[at] = np.concatenate(g.lower_segs)[base + np.repeat(lens, lens) - 1 - d]
+        o, lens = g.offsets, np.diff(g.offsets)
+        d = np.arange(o[-1]) - np.repeat(o[:-1], lens)      # each entry's index in its segment
+        at = (np.repeat(g.cols, lens) + d, np.repeat(slot, lens))
+        U[at] = g.upper
+        L[at] = g.lower[np.repeat(o[1:], lens) - 1 - d]
         own[at] = np.repeat(np.arange(g.rank), lens)
     return U, L, own
 

@@ -30,7 +30,7 @@ import numpy as np
 from .field import Permutation, PrimeField, region_mask
 from .generators import (BruhatGenerator, CompactBruhatGenerator,
                          CompactEchelon, TreeGenerator, TreeLeaf, TreeNode,
-                         block_widths)
+                         _from_segments, block_widths)
 from .pluq import PluqDecomposition
 
 
@@ -168,19 +168,15 @@ def parse_bruhat(text: str) -> BruhatGenerator:
     if n < 0 or r < 0:
         raise ParseError(f"negative size {n} or rank {r}", 1)
     field = _field(p)
-    pivots, lower, upper = [], [], []
+    found = []
     for _ in range(r):
         i, j = src.next_ints(2)
         seg_len = n - i - j - 1
         if seg_len <= 0:
             raise ParseError(f"pivot {(i, j)} outside the left region", src.pos)
-        pivots.append((i, j))
-        lower.append(src.residues(p, seg_len))
-        upper.append(src.residues(p, seg_len))
+        found.append((i, j, src.residues(p, seg_len), src.residues(p, seg_len)))
     src.end()
-    order = sorted(range(r), key=lambda k: pivots[k])
-    g = BruhatGenerator(n, field, [pivots[k] for k in order],
-                        [lower[k] for k in order], [upper[k] for k in order])
+    g = _from_segments(n, field, sorted(found, key=lambda f: f[:2]))
     _checked(g.validate)
     return g
 
@@ -197,12 +193,12 @@ def _parse_echelon(src: _Lines, n: int, s: int, r: int, t: int,
                    field: PrimeField, transposed: bool) -> CompactEchelon:
     perm = _permutation(src, n)
     block_rows = src.next_ints(t)
-    diag_blocks = [src.residues(field.p, k, w)
-                   for k, w in zip(block_rows, block_widths(r, s))]
-    sub_blocks = [src.residues(field.p, k, s) for k in block_rows[1:]]
+    shapes = list(zip(block_rows, block_widths(r, s))) + [(k, s) for k in block_rows[1:]]
+    data = np.concatenate([np.zeros(0, dtype=np.int64)]     # each block column by column
+                          + [src.residues(field.p, k, w).T.ravel() for k, w in shapes])
     src_map = src.next_ints(r)
-    return _checked(lambda: CompactEchelon(n, s, field, transposed, perm, block_rows, diag_blocks,
-                                           sub_blocks, np.array(src_map, dtype=np.int64)), src.pos)
+    return _checked(lambda: CompactEchelon(n, s, field, transposed, perm, block_rows, data,
+                                           np.array(src_map, dtype=np.int64)), src.pos)
 
 
 def format_compact(cb: CompactBruhatGenerator) -> str:

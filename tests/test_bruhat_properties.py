@@ -1,7 +1,7 @@
 """Property tests: the orders and the Bruhat generator agree with the
 brute-force oracles on the six families of `util.instances`, at the small
-primes and at both ends of the modulus range, and read only the left
-region of their input."""
+primes and at both ends of the modulus range, survive the BRUHAT text
+round trip, and read only the left region of their input."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from quasisep import (OpCounter, compact_bruhat, left_part, lt_bruhat, lt_rpm,
                       qs_order, qs_order_bruteforce, reconstruct, reverse_cols,
                       reverse_rows, rpm_bruteforce, strict_lower, strict_upper)
+from quasisep.textio import format_bruhat, parse_bruhat
 
 from util import instances
 
@@ -27,6 +28,10 @@ def test_orders_and_bruhat_properties(case):
     g.validate()
     assert np.array_equal(reconstruct(g), A)
     assert g.nnz_lower() <= s * (n - s) and g.nnz_upper() <= s * (n - s)
+    text = format_bruhat(g)
+    back = parse_bruhat(text)
+    assert format_bruhat(back) == text and back.pivots == g.pivots
+    assert np.array_equal(back.lower, g.lower) and np.array_equal(back.upper, g.upper)
     # at the true order the packing always finds a free column
     assert np.array_equal(reconstruct(compact_bruhat(g, s)), A)
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quasisep import (CompressionError, OpCounter, compact_bruhat,
+from quasisep import (BruhatGenerator, CompressionError, OpCounter, compact_bruhat,
                       compact_to_bruhat, compress_echelon, is_left_triangular,
                       left_part, lt_bruhat, lt_rpm, mat,
                       qs_from_dense, qs_order, qs_order_bruteforce,
@@ -18,7 +18,7 @@ from quasisep.pluq import pluq_rpm
 from quasisep.textio import format_tree
 
 from util import (BASE_SIZES, EDGE_FIELDS, F2, F5, F65521, F2147483647,
-                  decode_compact_side, dense_factor, per_node_tree,
+                  band_matrix, decode_compact_side, dense_factor, per_node_tree,
                   random_invertible_tridiagonal, structured_corpus)
 
 # edges of the modulus range at sizes from 1 up to past a power of two
@@ -279,6 +279,27 @@ def test_bruhat_single_pivot():
     assert g.lower_segs[0].tolist() == [1]
     assert g.upper_segs[0].tolist() == [3]
     assert np.array_equal(reconstruct(g), A)
+
+
+def test_bruhat_validate_names_each_fault():
+    # lower and upper hold the segments end to end: pivot (0, 1) of n = 5
+    # owns entries 0..2 and pivot (1, 0) entries 3..5
+    def fault(pivots, lower, upper):
+        with pytest.raises(ValueError) as e:
+            BruhatGenerator(5, F5, pivots, np.array(lower), np.array(upper)).validate()
+        return str(e.value)
+
+    good = [1, 2, 0, 1, 0, 4], [3, 0, 1, 2, 2, 2]
+    BruhatGenerator(5, F5, [(0, 1), (1, 0)], *map(np.array, good)).validate()
+    assert fault([(1, 0), (0, 1)], *good) == "pivots must be sorted by row"
+    assert fault([(0, 1), (0, 2)], *good) == "pivot rows/columns must be distinct"
+    assert fault([(0, 1), (1, 3)], *good) == "pivot (1, 3) outside the left region"
+    assert fault([(0, 1), (1, 0)], good[0][:5], good[1]) == "segment length mismatch"
+    assert fault([(0, 1), (1, 0)], [1, 2, 0, 2, 0, 4], good[1]) \
+        == "lower segment must lead with 1"
+    assert fault([(0, 1), (1, 0)], good[0], [3, 0, 1, 0, 2, 2]) \
+        == "upper segment must lead with a nonzero"
+    assert fault([(0, 1), (1, 0)], good[0], [3, 0, 1, 2, 5, 2]) == "segment value out of range"
 
 
 def test_bruhat_reconstruction_corpus():
@@ -613,8 +634,23 @@ def test_compact_pack_and_unpack_memory_near_stored_size():
         cb, pack = _traced_peak(lambda: compact_bruhat(g, qs_order(g.pivots, n)))
         back, unpack = _traced_peak(lambda: compact_to_bruhat(cb))
         assert back.pivots == g.pivots
+        assert np.array_equal(back.lower, g.lower) and np.array_equal(back.upper, g.upper)
         assert pack < 4 * 2**20
         assert unpack < 4 * 2**20
+
+
+def test_generator_arrays_hold_only_the_stored_elements():
+    # one flat array per side: a Bruhat side holds its segments end to end
+    # beside r + 1 offsets, and a compact side its blocks end to end
+    for M in (band_matrix(1024, 1, 7, F65521), random_qs(1024, 8, 8, 1, F65521)):
+        for A in (M[::-1], M[:, ::-1]):
+            g = lt_bruhat(A, F65521)
+            assert g.lower.flags.owndata and g.upper.flags.owndata
+            assert g.lower.nbytes + g.upper.nbytes + g.offsets.nbytes \
+                <= 8 * g.stored_elements() + 8 * (g.rank + 1)
+            cb = compact_bruhat(g, qs_order(g.pivots, g.n))
+            for c in (cb.lower, cb.upper):
+                assert c.data.nbytes == 8 * c.stored_elements()
 
 
 def test_compression_safety_row_intersections():

@@ -139,7 +139,8 @@ def bruhat_triple(n, pivots, field, seed):
              for m in lens]
     upper = [np.concatenate((rng.integers(1, field.p, 1), rng.integers(0, field.p, m - 1)))
              for m in lens]
-    g = BruhatGenerator(n, field, pivots, lower, upper)
+    g = BruhatGenerator(n, field, pivots, np.concatenate([np.zeros(0, np.int64), *lower]),
+                        np.concatenate([np.zeros(0, np.int64), *upper]))
     g.validate()
     return g
 
