@@ -290,7 +290,10 @@ def _limb_product(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 def mat_vec(A: np.ndarray, x: np.ndarray, field: PrimeField,
             counter: OpCounter | None = None) -> np.ndarray:
-    return mat_mul(A, np.asarray(x, dtype=np.int64).reshape(-1, 1), field, counter).ravel()
+    """A x mod p for any integer A and x: both are reduced first, since
+    `mat_mul` is exact on residues only."""
+    x = residues(x, field)
+    return mat_mul(residues(A, field), x.reshape(-1, 1), field, counter).ravel()
 
 
 def trsm_unit_lower(L: np.ndarray, B: np.ndarray, field: PrimeField,

@@ -10,7 +10,14 @@ multiplication per stored nonzero and column, and a Bruhat side of rank
 above _BLOCK + 2s is densified by the same walk.  A compact generator is
 decoded by `generators.compact_to_bruhat` and applied the same way; a
 tree generator is applied by `_tree_apply`, one depth and factor shape
-at a time from the groups the generator derives on construction.
+at a time from the groups the generator derives on construction.  On a
+block its products are exact float64 GEMMs added, unreduced, into one
+float64 sum that is converted and reduced once at the end, the delayed
+reduction of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3),
+2008).  A running bound keeps every value at most 2**53 - p and
+reduces the sum in place when the next group of blocks would pass it.
+A tree with a product past that bound even alone, as at p = 2**31 - 1,
+makes its products by `mat_mul`, reduced, into an int64 sum.
 Products are dense: `mul_qs_qs` densifies its right operand and applies
 the left operand's own representations to it, whatever the two kinds,
 and `mul_lt_lt` does the same for two tree represented left triangular
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import OpCounter, mat_mul, residues
+from .field import _FLOAT_EXACT, OpCounter, mat_mul, residues
 from .generators import (BruhatGenerator, CompactBruhatGenerator, QsMatrix,
                          TreeGenerator, bruhat_reconstruct,
                          compact_to_bruhat, tree_dense)
@@ -230,23 +237,70 @@ def matvec_qs(M: QsMatrix, x: np.ndarray,
 # products against tree generators
 
 
+def _float_terms(g: TreeGenerator) -> list | None:
+    """The most each group of g adds to an entry of `_tree_apply`'s
+    float64 sum, or None when some product would not be exact in float64.
+
+    A leaf F (h x w) adds F X[j:j+w], each entry at most w (p-1)**2.  A
+    node adds PL Z with Z = UQ X[j:j+w] reduced below 2p in absolute
+    value, each entry at most r (p-1)(2p-1), and its inner product reaches
+    w (p-1)**2 first.  Every value is kept at most 2**53 - p, where
+    float64 also holds the multiple of p that a reduction subtracts; a
+    sum reduced partway starts again from 2p - 1, so each term must fit
+    beside that too.
+    """
+    p = g.field.p
+    top = _FLOAT_EXACT - p
+    terms = []
+    for factors, _, _ in g.groups:
+        inner = factors[-1].shape[2] * (p - 1) ** 2
+        term = factors[0].shape[2] * (p - 1) * (2 * p - 1) if len(factors) == 2 else inner
+        if max(inner, term + 2 * p - 1) > top:
+            return None
+        terms.append(term)
+    return terms
+
+
+def _reduce(Z: np.ndarray, p: int) -> None:
+    """Z -= floor(Z / p) p in place, for integers |Z| <= 2**53 - p held in
+    float64: 1/p and the quotient are rounded, so floor is off by at most
+    one either way and Z ends in [-2, 2p), but every step is exact."""
+    Q = Z * (1 / p)
+    np.floor(Q, out=Q)
+    Q *= p
+    Z -= Q
+
+
 def _tree_apply(g: TreeGenerator, X: np.ndarray,
                 counter: OpCounter | None) -> np.ndarray:
     """reconstruct(g) @ X for a reduced n x k block X, from g.groups.
 
-    Every group's products go into one int64 sum, reduced once at the
-    end: each is reduced, and a row gets at most one per depth.  A vector
-    costs one gather, one stacked product per factor and one scatter per
-    group, which is safe since no two blocks of a group share a row or a
-    column.  A block of several columns goes slice by slice, reading
-    views of X and adding into views of the sum: on wide blocks the
-    gathered copies cost more time and memory than the products save.
-    A node counts the h k additions that join its product to its
-    top-right child's; a leaf counts none.
+    Every group's products go into one n x k sum, reduced once at the
+    end.  A vector costs one gather, one stacked `mat_mul` per factor and
+    one scatter per group into an int64 sum, which is safe since no two
+    blocks of a group share a row or a column, and a row gets at most one
+    reduced product per depth.  A block of several columns goes block by
+    block on slices of X and of the sum: on wide blocks gathered copies
+    cost more time and memory than stacked products save.  Each product
+    is one exact float64 GEMM on its block's slice of X, converted per
+    block, and is added unreduced to a float64 sum, the delayed reduction
+    of FFLAS-FFPACK; a node's r x k inner product UQ X[j:j+w] is first
+    reduced by `_reduce`.  Since no two blocks of a group share a row,
+    the sum of `_float_terms` over the groups applied so far bounds every
+    entry; when the next group would take it past 2**53 - p, the sum is
+    reduced in place and the bound starts again from 2p - 1.  A tree
+    with a product past that bound even alone, as any at p = 2**31 - 1,
+    makes its products by `mat_mul`, reduced, into an int64 sum.  Either
+    way the counts are `mat_mul`'s for every product, and a node counts
+    the h k additions that join its product to its top-right child's; a
+    leaf counts none.
     """
     n, k = X.shape
-    Y = np.zeros((n, k), dtype=np.int64)
-    for factors, r0, c0 in g.groups:
+    p = g.field.p
+    terms = _float_terms(g) if k > 1 else None
+    Y = np.zeros((n, k), dtype=np.int64 if terms is None else np.float64)
+    bound = 0
+    for at, (factors, r0, c0) in enumerate(g.groups):
         N, h = factors[0].shape[:2]
         w = factors[-1].shape[2]
         if k == 1:
@@ -254,15 +308,32 @@ def _tree_apply(g: TreeGenerator, X: np.ndarray,
             for F in reversed(factors):
                 T = mat_mul(F, T, g.field, counter)
             Y[r0[:, None] + np.arange(h)] += T
-        else:
+        elif terms is None:
             for q, (i, j) in enumerate(zip(r0.tolist(), c0.tolist())):
                 T = X[j:j + w]
                 for F in reversed(factors):
                     T = mat_mul(F[q], T, g.field, counter)
                 Y[i:i + h] += T
+        else:
+            if bound + terms[at] > _FLOAT_EXACT - p:
+                _reduce(Y, p)
+                bound = 2 * p - 1
+            bound += terms[at]
+            if counter is not None:
+                for F in factors:
+                    counter.count_matmul(N * F.shape[1], F.shape[2], k)
+            floats = [F.astype(np.float64) for F in factors]
+            for q, (i, j) in enumerate(zip(r0.tolist(), c0.tolist())):
+                T = X[j:j + w].astype(np.float64)
+                if len(floats) == 2:
+                    T = floats[1][q] @ T
+                    _reduce(T, p)
+                Y[i:i + h] += floats[0][q] @ T
         if counter is not None and len(factors) == 2:
             counter.adds += N * h * k
-    Y %= g.field.p
+    if terms is not None:
+        Y = Y.astype(np.int64)
+    Y %= p
     return Y
 
 

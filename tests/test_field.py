@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quasisep import (OpCounter, Permutation, PrimeField, is_left_triangular,
-                      left_part, mat, mat_mul, random_matrix, rank,
+                      left_part, mat, mat_mul, mat_vec, random_matrix, rank,
                       reverse_cols, reverse_rows, strict_upper,
                       trsm_unit_lower, trsm_upper_right)
 from quasisep.field import _is_prime
@@ -67,6 +67,17 @@ def test_mat_mul_identity_and_char2():
     ones = mat(F2, [[1, 1], [1, 1]])
     v = mat(F2, [[1], [1]])
     assert np.array_equal(mat_mul(ones, v, F2), np.zeros((2, 1), dtype=np.int64))
+
+
+def test_mat_vec_reduces_unreduced_operands():
+    # 2**40 = 2**9 mod 2**31 - 1, so the product is 2**18; unreduced, the
+    # int64 product 2**80 wrapped to 0
+    assert mat_vec([[2**40]], [2**40], F2147483647).tolist() == [262144]
+    rng = np.random.default_rng(7)
+    A = rng.integers(-2**40, 2**40, (5, 9), dtype=np.int64)
+    x = rng.integers(-2**40, 2**40, 9, dtype=np.int64)
+    want = [sum(int(a) * int(b) for a, b in zip(row, x)) % F2147483647.p for row in A]
+    assert mat_vec(A, x, F2147483647).tolist() == want
 
 
 def test_mat_mul_against_schoolbook():

@@ -1,21 +1,25 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from quasisep import (OpCounter, compact_bruhat, compact_to_bruhat, lt_bruhat,
-                      mat, mat_mul, mat_vec, matvec_bruhat, matvec_qs,
-                      matvec_tree, mul_lt_by_flat, mul_lt_lt, mul_qs_qs,
-                      qs_from_dense, qs_order, qs_orders_bruteforce,
-                      qs_to_dense, random_left_triangular, random_matrix,
-                      random_qs, reconstruct, reverse_rows, tree_generator)
+from quasisep import (OpCounter, PrimeField, compact_bruhat, compact_to_bruhat,
+                      left_part, lt_bruhat, mat, mat_mul, mat_vec,
+                      matvec_bruhat, matvec_qs, matvec_tree, mul_lt_by_flat,
+                      mul_lt_lt, mul_qs_qs, qs_from_dense, qs_order,
+                      qs_orders_bruteforce, qs_to_dense, random_left_triangular,
+                      random_matrix, random_qs, reconstruct, reverse_rows,
+                      structops, tree_generator)
+from quasisep.field import _is_prime
 from quasisep.generators import TreeLeaf, bruhat_reconstruct
-from quasisep.structops import _BLOCK, _bruhat_slots, _bruhat_walk, _rep_times
+from quasisep.structops import (_BLOCK, _bruhat_slots, _bruhat_walk, _float_terms,
+                                _reduce, _rep_times)
 from quasisep.textio import format_tree, parse_tree
 
 from util import (F2, F3, F5, F65521, F2147483647, band_matrix,
                   bruhat_column_walk, bruhat_triple, dense_matvec,
-                  structured_corpus)
+                  random_invertible_tridiagonal, structured_corpus)
 
 
 def test_reconstruct_empty_generators():
@@ -285,6 +289,17 @@ def _tree_blocks(g):
     return nodes, leaves
 
 
+def _apply_counts(g):
+    """(muls, adds) of applying g to one column: both factors of each node
+    as classical products plus the h additions that join it to its
+    top-right child's, and each leaf as a classical product."""
+    nodes, leaves = _tree_blocks(g)
+    muls = 2 * sum(h * r for h, r in nodes) + sum(a * b for a, b in leaves)
+    adds = sum(2 * h * r - r for h, r in nodes if r) \
+        + sum(a * max(b - 1, 0) for a, b in leaves)
+    return muls, adds
+
+
 @pytest.mark.parametrize("f", (F2, F3, F65521, F2147483647), ids=lambda f: str(f.p))
 def test_tree_apply_matches_dense_with_exact_counts(f):
     # both triangles of a random_qs matrix, then the banded and tridiagonal
@@ -298,10 +313,7 @@ def test_tree_apply_matches_dense_with_exact_counts(f):
         for A in inputs:
             g = tree_generator(A, f)
             loaded = parse_tree(format_tree(g))
-            nodes, leaves = _tree_blocks(g)
-            muls = 2 * sum(h * r for h, r in nodes) + sum(a * b for a, b in leaves)
-            adds = sum(2 * h * r - r for h, r in nodes if r) \
-                + sum(a * max(b - 1, 0) for a, b in leaves)
+            muls, adds = _apply_counts(g)
             for k in (1, 2, 17):
                 X = rng.integers(0, f.p, (n, k), dtype=np.int64)
                 want = mat_mul(A, X, f)
@@ -313,6 +325,86 @@ def test_tree_apply_matches_dense_with_exact_counts(f):
                         c = OpCounter()
                         assert np.array_equal(apply(c), want), (n, k)
                         assert (c.muls, c.adds) == (k * muls, k * adds), (n, k)
+
+
+def _float_limit(g):
+    """The largest modulus for which `_tree_apply` would take its float64
+    path on a tree of g's shape, by bisection on `_float_terms`."""
+    def fits(q):
+        shape = SimpleNamespace(groups=g.groups, field=SimpleNamespace(p=q))
+        return _float_terms(shape) is not None
+    lo, hi = 2, 2**31
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+def _prime_from(q, step):
+    while not _is_prime(q):
+        q += step
+    return q
+
+
+@pytest.mark.parametrize("kind", ("full rank", "tridiagonal"))
+def test_tree_apply_is_exact_at_the_edges_of_the_float_sum(kind, monkeypatch):
+    # at the primes about the float64 path's limits for n = 33: one where
+    # the running bound reduces the whole sum partway (the full rank input
+    # is one leaf, so one group, and never does), the largest that still
+    # takes the float path, the smallest that falls back to reduced int64
+    # products, and 2, 3 and 2**31 - 1; one column of X is all p - 1
+    n = 33
+    rng = np.random.default_rng(413)
+    reduced = []
+    monkeypatch.setattr(structops, "_reduce",
+                        lambda Z, p: (reduced.append(Z.shape), _reduce(Z, p)))
+
+    def case(f):
+        if kind == "full rank":
+            return left_part(random_matrix(rng, n, n, f))
+        T, _ = random_invertible_tridiagonal(n, 414, f)
+        return np.tril(T, -1)[::-1].copy()
+
+    limit = _float_limit(tree_generator(case(F2147483647), F2147483647))
+    primes = {"partway": _prime_from(3 * limit // 4, -1), "top": _prime_from(limit, -1),
+              "fallback": _prime_from(limit + 1, 1), "2": 2, "3": 3, "word": 2**31 - 1}
+    for name, p in primes.items():
+        f = PrimeField(p)
+        A = case(f)
+        g = tree_generator(A, f)
+        assert (_float_terms(g) is None) == (name in ("fallback", "word")), name
+        if kind == "full rank" and p > 3:
+            assert isinstance(g.root, TreeLeaf) and g.root.block.shape == (n, n)
+        muls, adds = _apply_counts(g)
+        for k in (2, 17, n):
+            X = rng.integers(0, p, (n, k), dtype=np.int64)
+            X[:, 0] = p - 1
+            c = OpCounter()
+            reduced.clear()
+            assert np.array_equal(mul_lt_by_flat(g, X, c), mat_mul(A, X, f)), (name, k)
+            assert (c.muls, c.adds) == (k * muls, k * adds), (name, k)
+            if name == "partway":
+                assert ((n, k) in reduced) == (kind == "tridiagonal"), k
+        c, dense = OpCounter(), OpCounter()
+        reconstruct(g, dense)
+        assert np.array_equal(mul_lt_lt(g, g, c), mat_mul(A, A, f)), name
+        assert (c.muls, c.adds) == (n * muls + dense.muls, n * adds + dense.adds), name
+
+
+def test_tree_block_apply_holds_one_sum_and_its_conversion():
+    # the float64 sum, and its int64 conversion at the end; the slices of
+    # X are converted block by block, never X whole
+    n = 512
+    g = tree_generator(random_left_triangular(n, 8, 12, F65521), F65521)
+    X = np.random.default_rng(415).integers(0, F65521.p, (n, n), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        Y = mul_lt_by_flat(g, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(Y, mat_mul(reconstruct(g), X, F65521))
+    assert peak < 2.25 * X.nbytes
 
 
 def test_matvec_tree_builds_nothing_per_call():
