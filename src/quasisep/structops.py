@@ -16,12 +16,12 @@ float64 sum that is converted and reduced once at the end, the delayed
 reduction of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3),
 2008).  A running bound keeps every value at most 2**53 - p and
 reduces the sum in place when the next group of blocks would pass it.
-A tree with a product past that bound even alone, as at p = 2**31 - 1,
-makes its products by `mat_mul`, reduced, into an int64 sum.
-Products are dense: `mul_qs_qs` densifies its right operand and applies
-the left operand's own representations to it, whatever the two kinds,
-and `mul_lt_lt` does the same for two tree represented left triangular
-matrices.
+Where a product would pass that bound alone, as any at p = 2**31 - 1,
+the tree's small factors are cut into limbs of a few bits, never the
+block they meet.  Products are dense: `mul_qs_qs` densifies its right
+operand and applies the left operand's own representations to it,
+whatever the two kinds, and `mul_lt_lt` does the same for two tree
+represented left triangular matrices.
 """
 
 from __future__ import annotations
@@ -237,27 +237,40 @@ def matvec_qs(M: QsMatrix, x: np.ndarray,
 # products against tree generators
 
 
-def _float_terms(g: TreeGenerator) -> list | None:
-    """The most each group of g adds to an entry of `_tree_apply`'s
-    float64 sum, or None when some product would not be exact in float64.
+def _float_terms(g: TreeGenerator) -> list:
+    """For each group of g, (l, b, term): `_tree_apply` cuts the group's
+    factors into l limbs of b bits, and term is the most the group adds
+    to an entry of its float64 sum.
 
-    A leaf F (h x w) adds F X[j:j+w], each entry at most w (p-1)**2.  A
-    node adds PL Z with Z = UQ X[j:j+w] reduced below 2p in absolute
-    value, each entry at most r (p-1)(2p-1), and its inner product reaches
-    w (p-1)**2 first.  Every value is kept at most 2**53 - p, where
-    float64 also holds the multiple of p that a reduction subtracts; a
-    sum reduced partway starts again from 2p - 1, so each term must fit
-    beside that too.
+    l is the fewest for which every value stays at most 2**53 - p, where
+    float64 also holds the multiple of p that `_reduce` subtracts; a sum
+    reduced partway starts again from 2p - 1, so each term must fit
+    beside that too.  Limbs are at most e = min(2**b - 1, p - 1).  A leaf
+    F (h x w), or a node's UQ (r x w), meets X[j:j+w] in w-term products
+    of at most w e (p-1), joined for l > 1 by Horner's rule onto a value
+    reduced below 2p in absolute value, (2p-1) 2**b more.  The leaf adds
+    that to the sum.  The node reduces it, Z, below 2p again and adds
+    PL Z as l r terms, PL's limbs against the copies 2**(b i) Z mod p,
+    each reduced below 2p: at most l r e (2p-1).  With l = 1, b is the
+    bit length of p - 1 and the terms are w (p-1)**2 and r (p-1)(2p-1).
+    b = 1 fits every w below about 2**22.
     """
     p = g.field.p
     top = _FLOAT_EXACT - p
+    bits = (p - 1).bit_length()
     terms = []
     for factors, _, _ in g.groups:
-        inner = factors[-1].shape[2] * (p - 1) ** 2
-        term = factors[0].shape[2] * (p - 1) * (2 * p - 1) if len(factors) == 2 else inner
-        if max(inner, term + 2 * p - 1) > top:
-            return None
-        terms.append(term)
+        r, w = factors[0].shape[2], factors[-1].shape[2]
+        for limbs in range(1, bits + 1):
+            b = -(-bits // limbs)
+            e = min((1 << b) - 1, p - 1)
+            inner = w * e * (p - 1) + ((2 * p - 1) << b if limbs > 1 else 0)
+            term = limbs * r * e * (2 * p - 1) if len(factors) == 2 else inner
+            if max(inner, term + 2 * p - 1) <= top:
+                break
+        else:
+            raise ValueError(f"a block {w} wide is past exact float64 products")
+        terms.append((limbs, b, term))
     return terms
 
 
@@ -271,6 +284,45 @@ def _reduce(Z: np.ndarray, p: int) -> None:
     Z -= Q
 
 
+def _add_group(Y: np.ndarray, X: np.ndarray, factors: tuple, r0: np.ndarray,
+               c0: np.ndarray, limbs: int, b: int, p: int) -> None:
+    """Add one group's products with a reduced n x k block X, unreduced,
+    to the float64 sum Y of `_tree_apply`, each factor cut into `limbs`
+    limbs of b bits (one limb: the factor itself).
+
+    A block goes on its slice of X, converted alone.  The limbs of a leaf
+    F, or of a node's UQ, are stacked top first along its rows, so one
+    GEMM makes the pieces of F X[j:j+w], joined by Horner's rule with a
+    `_reduce` before each step.  A node reduces that inner product, Z,
+    writes the copies 2**(b i) Z mod p, i = 1 .. limbs-1, over the spent
+    pieces, each the one before times 2**b, reduced, and meets them with
+    PL's limbs, laid side by side, in one more GEMM.  `_float_terms`
+    picks limbs and b so that every value stays exact.
+    """
+    m, w = factors[-1].shape[1:]
+    h = factors[0].shape[1]
+    shifts, mask = b * np.arange(limbs), (1 << b) - 1
+    inner = np.concatenate([(factors[-1] >> s) & mask for s in shifts[::-1]],
+                           axis=1).astype(np.float64)
+    if len(factors) == 2:
+        outer = np.concatenate([(factors[0] >> s) & mask for s in shifts],
+                               axis=2).astype(np.float64)
+    for q, (i, j) in enumerate(zip(r0.tolist(), c0.tolist())):
+        T = inner[q] @ X[j:j + w].astype(np.float64)
+        Z = T[:m]
+        for t in range(m, limbs * m, m):
+            _reduce(Z, p)
+            Z *= 1 << b
+            Z += T[t:t + m]
+        if len(factors) == 2:
+            _reduce(Z, p)
+            for t in range(m, limbs * m, m):
+                np.multiply(T[t - m:t], 1 << b, out=T[t:t + m])
+                _reduce(T[t:t + m], p)
+            Z = outer[q] @ T
+        Y[i:i + h] += Z
+
+
 def _tree_apply(g: TreeGenerator, X: np.ndarray,
                 counter: OpCounter | None) -> np.ndarray:
     """reconstruct(g) @ X for a reduced n x k block X, from g.groups.
@@ -280,58 +332,45 @@ def _tree_apply(g: TreeGenerator, X: np.ndarray,
     one scatter per group into an int64 sum, which is safe since no two
     blocks of a group share a row or a column, and a row gets at most one
     reduced product per depth.  A block of several columns goes block by
-    block on slices of X and of the sum: on wide blocks gathered copies
-    cost more time and memory than stacked products save.  Each product
-    is one exact float64 GEMM on its block's slice of X, converted per
-    block, and is added unreduced to a float64 sum, the delayed reduction
-    of FFLAS-FFPACK; a node's r x k inner product UQ X[j:j+w] is first
-    reduced by `_reduce`.  Since no two blocks of a group share a row,
-    the sum of `_float_terms` over the groups applied so far bounds every
-    entry; when the next group would take it past 2**53 - p, the sum is
-    reduced in place and the bound starts again from 2p - 1.  A tree
-    with a product past that bound even alone, as any at p = 2**31 - 1,
-    makes its products by `mat_mul`, reduced, into an int64 sum.  Either
-    way the counts are `mat_mul`'s for every product, and a node counts
-    the h k additions that join its product to its top-right child's; a
-    leaf counts none.
+    block on slices of X and of the sum, by `_add_group`: on wide blocks
+    gathered copies cost more time and memory than stacked products
+    save.  At every p its products are exact float64 GEMMs added
+    unreduced to a float64 sum, the delayed reduction of FFLAS-FFPACK,
+    each group's factors cut into the limbs `_float_terms` picks, one
+    where the products are exact as they stand.  Since no two blocks of
+    a group share a row, the sum of the groups' terms applied so far
+    bounds every entry; when the next group would take it past
+    2**53 - p, the sum is reduced in place and the bound starts again
+    from 2p - 1.  The counts are `mat_mul`'s for every product, and a
+    node counts the h k additions that join its product to its
+    top-right child's; a leaf counts none.
     """
     n, k = X.shape
     p = g.field.p
     terms = _float_terms(g) if k > 1 else None
-    Y = np.zeros((n, k), dtype=np.int64 if terms is None else np.float64)
+    Y = np.zeros((n, k), dtype=np.int64 if k == 1 else np.float64)
     bound = 0
     for at, (factors, r0, c0) in enumerate(g.groups):
         N, h = factors[0].shape[:2]
-        w = factors[-1].shape[2]
         if k == 1:
+            w = factors[-1].shape[2]
             T = X[c0[:, None] + np.arange(w)]
             for F in reversed(factors):
                 T = mat_mul(F, T, g.field, counter)
             Y[r0[:, None] + np.arange(h)] += T
-        elif terms is None:
-            for q, (i, j) in enumerate(zip(r0.tolist(), c0.tolist())):
-                T = X[j:j + w]
-                for F in reversed(factors):
-                    T = mat_mul(F[q], T, g.field, counter)
-                Y[i:i + h] += T
         else:
-            if bound + terms[at] > _FLOAT_EXACT - p:
+            limbs, b, term = terms[at]
+            if bound + term > _FLOAT_EXACT - p:
                 _reduce(Y, p)
                 bound = 2 * p - 1
-            bound += terms[at]
+            bound += term
             if counter is not None:
                 for F in factors:
                     counter.count_matmul(N * F.shape[1], F.shape[2], k)
-            floats = [F.astype(np.float64) for F in factors]
-            for q, (i, j) in enumerate(zip(r0.tolist(), c0.tolist())):
-                T = X[j:j + w].astype(np.float64)
-                if len(floats) == 2:
-                    T = floats[1][q] @ T
-                    _reduce(T, p)
-                Y[i:i + h] += floats[0][q] @ T
+            _add_group(Y, X, factors, r0, c0, limbs, b, p)
         if counter is not None and len(factors) == 2:
             counter.adds += N * h * k
-    if terms is not None:
+    if k > 1:
         Y = Y.astype(np.int64)
     Y %= p
     return Y
@@ -363,12 +402,13 @@ def mul_lt_lt(gA: TreeGenerator, gB: TreeGenerator,
 
 def qs_to_dense(M: QsMatrix, counter: OpCounter | None = None) -> np.ndarray:
     """Densify: J @ rep(lower) puts the strict lower part back in place,
-    rep(upper) @ J the strict upper part."""
+    rep(upper) @ J the strict upper part.  Both hold residues and never
+    overlap each other or the diagonal, so only the diagonal, which
+    `QsMatrix` takes as given, is reduced."""
     out = reconstruct(M.lower, counter)[::-1] + reconstruct(M.upper, counter)[:, ::-1]
-    out.flat[::M.n + 1] += M.diag
+    out.flat[::M.n + 1] += M.diag % M.field.p
     if counter is not None:
         counter.adds += 2 * M.n * M.n
-    out %= M.field.p
     return out
 
 

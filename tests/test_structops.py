@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from quasisep import (OpCounter, PrimeField, compact_bruhat, compact_to_bruhat,
                       random_matrix, random_qs, reconstruct, reverse_rows,
                       structops, tree_generator)
 from quasisep.field import _is_prime
-from quasisep.generators import TreeLeaf, bruhat_reconstruct
+from quasisep.generators import TreeGenerator, TreeLeaf, bruhat_reconstruct
 from quasisep.structops import (_BLOCK, _bruhat_slots, _bruhat_walk, _float_terms,
                                 _reduce, _rep_times)
 from quasisep.textio import format_tree, parse_tree
@@ -327,12 +328,17 @@ def test_tree_apply_matches_dense_with_exact_counts(f):
                         assert (c.muls, c.adds) == (k * muls, k * adds), (n, k)
 
 
+def _limbs(g):
+    """The most limbs `_tree_apply` cuts a factor of g into."""
+    return max((limbs for limbs, _, _ in _float_terms(g)), default=1)
+
+
 def _float_limit(g):
-    """The largest modulus for which `_tree_apply` would take its float64
-    path on a tree of g's shape, by bisection on `_float_terms`."""
+    """The largest modulus for which `_tree_apply` would apply a tree of
+    g's shape with no factor cut into limbs, by bisection on
+    `_float_terms`."""
     def fits(q):
-        shape = SimpleNamespace(groups=g.groups, field=SimpleNamespace(p=q))
-        return _float_terms(shape) is not None
+        return _limbs(SimpleNamespace(groups=g.groups, field=SimpleNamespace(p=q))) == 1
     lo, hi = 2, 2**31
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -348,11 +354,14 @@ def _prime_from(q, step):
 
 @pytest.mark.parametrize("kind", ("full rank", "tridiagonal"))
 def test_tree_apply_is_exact_at_the_edges_of_the_float_sum(kind, monkeypatch):
-    # at the primes about the float64 path's limits for n = 33: one where
-    # the running bound reduces the whole sum partway (the full rank input
-    # is one leaf, so one group, and never does), the largest that still
-    # takes the float path, the smallest that falls back to reduced int64
-    # products, and 2, 3 and 2**31 - 1; one column of X is all p - 1
+    # at the primes about the limits of the float64 sum for n = 33: one
+    # where the running bound reduces the whole sum partway (the full rank
+    # input is one leaf, so one group, and never does), the largest whose
+    # products are exact with no limbs, the smallest that cuts them into
+    # limbs, and 2, 3 and 2**31 - 1; one column of X is all p - 1.  A
+    # one-leaf tree of the left part of an all p - 1 matrix one larger,
+    # whose first row is full, meets that column in the largest term
+    # `_float_terms` allows for, w (p-1)**2 with no limbs
     n = 33
     rng = np.random.default_rng(413)
     reduced = []
@@ -372,7 +381,7 @@ def test_tree_apply_is_exact_at_the_edges_of_the_float_sum(kind, monkeypatch):
         f = PrimeField(p)
         A = case(f)
         g = tree_generator(A, f)
-        assert (_float_terms(g) is None) == (name in ("fallback", "word")), name
+        assert (_limbs(g) > 1) == (name in ("fallback", "word")), name
         if kind == "full rank" and p > 3:
             assert isinstance(g.root, TreeLeaf) and g.root.block.shape == (n, n)
         muls, adds = _apply_counts(g)
@@ -389,22 +398,61 @@ def test_tree_apply_is_exact_at_the_edges_of_the_float_sum(kind, monkeypatch):
         reconstruct(g, dense)
         assert np.array_equal(mul_lt_lt(g, g, c), mat_mul(A, A, f)), name
         assert (c.muls, c.adds) == (n * muls + dense.muls, n * adds + dense.adds), name
+        worst = left_part(np.full((n + 1, n + 1), p - 1, dtype=np.int64))[:n, :n]
+        leaf = TreeGenerator(n, TreeLeaf(worst), f, 4)
+        for k in (2, 17, n):
+            X = rng.integers(0, p, (n, k), dtype=np.int64)
+            X[:, 0] = p - 1
+            c = OpCounter()
+            assert np.array_equal(mul_lt_by_flat(leaf, X, c), mat_mul(worst, X, f)), (name, k)
+            assert (c.muls, c.adds) == (k * n * n, k * n * (n - 1)), (name, k)
 
 
-def test_tree_block_apply_holds_one_sum_and_its_conversion():
+def test_float_terms_refuses_a_leaf_too_wide_for_one_bit_limbs():
+    # one-bit limbs keep w (p-1) + 2 (2p-1) within 2**53 - p only while w
+    # stays below about 2**22; only the shapes of the factors are read
+    def leaf(w):
+        return SimpleNamespace(groups=[((SimpleNamespace(shape=(1, 1, w)),), None, None)],
+                               field=F2147483647)
+    assert _float_terms(leaf(2**21))[0][:2] == (31, 1)
+    with pytest.raises(ValueError):
+        _float_terms(leaf(2**22))
+
+
+@pytest.mark.parametrize("f", (F65521, F2147483647), ids=lambda f: str(f.p))
+def test_tree_block_apply_holds_one_sum_and_its_conversion(f):
     # the float64 sum, and its int64 conversion at the end; the slices of
-    # X are converted block by block, never X whole
+    # X are converted block by block, never X whole, and the limbs are
+    # cut from the factors, never from X
     n = 512
-    g = tree_generator(random_left_triangular(n, 8, 12, F65521), F65521)
-    X = np.random.default_rng(415).integers(0, F65521.p, (n, n), dtype=np.int64)
+    g = tree_generator(random_left_triangular(n, 8, 12, f), f)
+    X = np.random.default_rng(415).integers(0, f.p, (n, n), dtype=np.int64)
     tracemalloc.start()
     try:
         Y = mul_lt_by_flat(g, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(Y, mat_mul(reconstruct(g), X, F65521))
+    assert np.array_equal(Y, mat_mul(reconstruct(g), X, f))
     assert peak < 2.25 * X.nbytes
+
+
+@pytest.mark.parametrize("k", (2, 17))
+def test_tree_block_apply_at_the_word_prime_calls_no_mat_mul(k, monkeypatch):
+    # at p = 2**31 - 1 every block product is cut into limbs and summed in
+    # float64; a node's w reaches 150 at n = 300, which takes three limbs
+    n, f = 300, F2147483647
+    A = random_left_triangular(n, 8, 417, f)
+    g = tree_generator(A, f)
+    assert _limbs(g) == 3
+    X = np.random.default_rng(417).integers(0, f.p, (n, k), dtype=np.int64)
+    X[:, 0] = f.p - 1
+    calls = []
+    monkeypatch.setattr(structops, "mat_mul",
+                        lambda *a, **kw: (calls.append(1), mat_mul(*a, **kw))[1])
+    Y = mul_lt_by_flat(g, X)
+    assert not calls
+    assert np.array_equal(Y, mat_mul(A, X, f))
 
 
 def test_matvec_tree_builds_nothing_per_call():
@@ -480,6 +528,25 @@ def test_mul_lt_lt_pow2_sizes():
     assert np.array_equal(mul_lt_lt(gA, gB), mat_mul(A, B, F65521))
     assert np.array_equal(mul_lt_by_flat(gA, reconstruct(gB)[::-1]),
                           mat_mul(A, reverse_rows(B), F65521))
+
+
+def test_qs_to_dense_reduces_a_diagonal_given_unreduced():
+    # QsMatrix takes its diagonal as given: negative entries and entries
+    # of p or more densify to their residues, at the counts of the
+    # reduced diagonal
+    for f in (F3, F65521, F2147483647):
+        M = random_qs(40, 3, 2, 416, f)
+        off = np.random.default_rng(416).integers(-3, 4, 40) * f.p
+        off[:2] = -f.p, 2 * f.p
+        for kind in ("tree", "bruhat", "compact"):
+            qs = qs_from_dense(M, kind, f)
+            want = OpCounter()
+            qs_to_dense(qs, want)
+            raw = replace(qs, diag=qs.diag + off)
+            assert (raw.diag < 0).any() and (raw.diag >= f.p).any()
+            c = OpCounter()
+            assert np.array_equal(qs_to_dense(raw, c), M), (f, kind)
+            assert c == want, (f, kind)
 
 
 def test_matvec_qs_tridiagonal_all_reps():
