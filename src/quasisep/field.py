@@ -17,6 +17,7 @@ WORD_BOUND = 1 << 31
 _INT64_MAX = (1 << 63) - 1
 _FLOAT_EXACT = 1 << 53     # float64 holds every integer below this exactly
 _FLOAT_MIN_WORK = 4096     # m*k*n where the float64 path starts to win
+_CHUNK = 1 << 14           # entries per chunk of `_to_residues`, 128 KiB of int64
 
 
 @lru_cache(maxsize=64)
@@ -174,20 +175,26 @@ def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
 
     When every dot product stays below 2**53, k * (p-1)**2 < 2**53, each
     partial sum is an integer that float64 holds exactly in any summation
-    order, so the product runs in float64 BLAS and is converted back to
-    int64 before the reduction (the approach of FFLAS-FFPACK).  C is
-    subtracted before that conversion, still exactly, since every value
-    lies in (-k (p-1)**2, p), so the update costs one reduction.  Where
-    k (p-1)**2 >= 2**53, `_limb_product` cuts the smaller operand into
-    limbs narrow enough for every limb product to be exact in float64 and
-    hands back an array congruent to A B, finished the same way.
-    Products below _FLOAT_MIN_WORK multiplications, and those with one
-    column or one inner index, stay on int64: there converting the
-    operands costs as much as the product.  So does k (p-1) >= 2**53,
-    where not even one-bit limbs would be exact: over four million inner
-    indices near the 2**31 bound.  On the int64 path accumulation,
-    started from C, is chunked so that partial sums never exceed int64
-    range, which matters only for moduli close to the 2**31 bound.
+    order, so the product runs in float64 BLAS (the approach of
+    FFLAS-FFPACK).  Where k (p-1)**2 >= 2**53, `_limb_product` cuts the
+    smaller operand into limbs narrow enough for every limb product to be
+    exact in float64 and hands back an array congruent to A B.  Either is
+    finished by `_to_residues` in its own buffer, a chunk of rows at a
+    time: converted to int64, subtracted from C's rows, exactly, and
+    reduced once.  The finish is a pass over the m x n output whatever
+    k is, and the elimination's Schur updates have k <= s, so there it
+    costs more than the GEMM.  Hence it stays in cache, allocates no
+    second output, and reduces by floor division, x - (x // p) p, which
+    numpy makes a multiplication by a precomputed inverse: about 1 ns an
+    entry against 4-10 ns for int64 `%`, slowest on the negative values
+    of an update.  Products below _FLOAT_MIN_WORK multiplications, and
+    those with one column or one inner index, stay on int64: there
+    converting the operands costs as much as the product.  So does
+    k (p-1) >= 2**53, where not even one-bit limbs would be exact: over
+    four million inner indices near the 2**31 bound.  On the int64 path
+    accumulation, started from C, is chunked so that partial sums never
+    exceed int64 range, which matters only for moduli close to the 2**31
+    bound.
     """
     sa, sb = A.shape, B.shape
     if len(sa) != len(sb) or len(sa) not in (2, 3):
@@ -212,11 +219,7 @@ def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
             R = A.astype(np.float64) @ B.astype(np.float64)
         else:
             R = _limb_product(A, B, p)
-        if C is not None:
-            np.subtract(C, R, out=R)
-        R = R.astype(np.int64, copy=False)
-        R %= p
-        return R
+        return _to_residues(R, p, C)
     step = max(1, (_INT64_MAX - p) // ((p - 1) ** 2))
     if k <= step:
         return (A @ B) % p if C is None else (C - A @ B) % p
@@ -227,6 +230,33 @@ def mat_mul(A: np.ndarray, B: np.ndarray, field: PrimeField,
     for lo in range(0, k, step):
         acc = (acc + A[..., lo:lo + step] @ B[..., lo:lo + step, :]) % p
     return acc
+
+
+def _to_residues(R: np.ndarray, p: int, C: np.ndarray | None = None) -> np.ndarray:
+    """R mod p, or (C - R) mod p, as int64 in R's own buffer, for a fresh
+    contiguous R of exact integers: float64 below 2**53, or int64 with
+    C - R in int64 range.  C is only read and may be any view of R's shape.
+
+    R is walked _CHUNK entries at a time, in whole rows of its last axis
+    (one row where a row is wider).  Each chunk is converted to int64,
+    subtracted from C's rows and reduced as x - (x // p) p, all in cache,
+    and written back over the chunk it came from, so nothing of R's size
+    is allocated.
+    """
+    n = max(R.shape[-1], 1)
+    out = R.view(np.int64)
+    rows, res = R.reshape(-1, n), out.reshape(-1, n)
+    if C is not None:
+        C = C.reshape(-1, n)
+    step = max(_CHUNK // n, 1)
+    for i in range(0, len(rows), step):
+        x = rows[i:i + step].astype(np.int64)
+        if C is not None:
+            np.subtract(C[i:i + step], x, out=x)
+        q = x // p
+        q *= p
+        np.subtract(x, q, out=res[i:i + step])
+    return out
 
 
 def _limb_product(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:

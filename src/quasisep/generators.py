@@ -261,18 +261,14 @@ def _full_rank(blocks, field: PrimeField,
 
 
 def tree_dense(g: TreeGenerator, counter: OpCounter | None = None) -> np.ndarray:
-    """Densify a tree generator, each node written into its own block."""
-    def fill(node, W: np.ndarray) -> None:
-        if isinstance(node, TreeLeaf):
-            W[...] = node.block
-            return
-        h = node.pluq.m
-        W[:h, :h] = node.pluq.reconstruct(counter)
-        fill(node.top_right, W[:h, h:])
-        fill(node.bottom_left, W[h:, :h])
-
+    """Densify a tree generator from its groups: one stacked `mat_mul` of
+    P L by U Q per group of nodes, and the leaves as they are, each block
+    scattered into its place."""
     out = np.zeros((g.n, g.n), dtype=np.int64)
-    fill(g.root, out)
+    for factors, r0, c0 in g.groups:
+        B = mat_mul(*factors, g.field, counter) if len(factors) == 2 else factors[0]
+        h, w = B.shape[1:]
+        out[r0[:, None, None] + np.arange(h)[:, None], c0[:, None, None] + np.arange(w)] = B
     return out
 
 

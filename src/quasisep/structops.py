@@ -12,23 +12,25 @@ decoded by `generators.compact_to_bruhat` and applied the same way; a
 tree generator is applied by `_tree_apply`, one depth and factor shape
 at a time from the groups the generator derives on construction.  On a
 block its products are exact float64 GEMMs added, unreduced, into one
-float64 sum that is converted and reduced once at the end, the delayed
-reduction of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3),
-2008).  A running bound keeps every value at most 2**53 - p and
-reduces the sum in place when the next group of blocks would pass it.
+float64 sum that `field._to_residues` converts and reduces once at the
+end, in place and in cache-sized chunks, the delayed reduction of
+FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  A
+running bound keeps every value at most 2**53 - p and reduces the sum
+in place when the next group of blocks would pass it.
 Where a product would pass that bound alone, as any at p = 2**31 - 1,
 the tree's small factors are cut into limbs of a few bits, never the
 block they meet.  Products are dense: `mul_qs_qs` densifies its right
 operand and applies the left operand's own representations to it,
-whatever the two kinds, and `mul_lt_lt` does the same for two tree
-represented left triangular matrices.
+whatever the two kinds, summing the three parts unreduced in int64 and
+finishing them by the same chunked reduction; `mul_lt_lt` does the same
+for two tree represented left triangular matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import _FLOAT_EXACT, OpCounter, mat_mul, residues
+from .field import _FLOAT_EXACT, OpCounter, _to_residues, mat_mul, residues
 from .generators import (BruhatGenerator, CompactBruhatGenerator, QsMatrix,
                          TreeGenerator, bruhat_reconstruct,
                          compact_to_bruhat, tree_dense)
@@ -331,17 +333,19 @@ def _tree_apply(g: TreeGenerator, X: np.ndarray,
     end.  A vector costs one gather, one stacked `mat_mul` per factor and
     one scatter per group into an int64 sum, which is safe since no two
     blocks of a group share a row or a column, and a row gets at most one
-    reduced product per depth.  A block of several columns goes block by
-    block on slices of X and of the sum, by `_add_group`: on wide blocks
-    gathered copies cost more time and memory than stacked products
-    save.  At every p its products are exact float64 GEMMs added
+    reduced product per depth; its n entries take one `%`, where the
+    chunked finish would only add calls.  A block of several columns goes
+    block by block on slices of X and of the sum, by `_add_group`: on
+    wide blocks gathered copies cost more time and memory than stacked
+    products save.  At every p its products are exact float64 GEMMs added
     unreduced to a float64 sum, the delayed reduction of FFLAS-FFPACK,
     each group's factors cut into the limbs `_float_terms` picks, one
     where the products are exact as they stand.  Since no two blocks of
     a group share a row, the sum of the groups' terms applied so far
     bounds every entry; when the next group would take it past
     2**53 - p, the sum is reduced in place and the bound starts again
-    from 2p - 1.  The counts are `mat_mul`'s for every product, and a
+    from 2p - 1, and at the end `_to_residues` converts and reduces it in
+    its own buffer.  The counts are `mat_mul`'s for every product, and a
     node counts the h k additions that join its product to its
     top-right child's; a leaf counts none.
     """
@@ -370,10 +374,10 @@ def _tree_apply(g: TreeGenerator, X: np.ndarray,
             _add_group(Y, X, factors, r0, c0, limbs, b, p)
         if counter is not None and len(factors) == 2:
             counter.adds += N * h * k
-    if k > 1:
-        Y = Y.astype(np.int64)
-    Y %= p
-    return Y
+    if k == 1:
+        Y %= p
+        return Y
+    return _to_residues(Y, p)
 
 
 def mul_lt_by_flat(g: TreeGenerator, F: np.ndarray,
@@ -420,7 +424,8 @@ def mul_qs_qs(A: QsMatrix, B: QsMatrix,
     J rep(A.lower) B + diag(A) B + rep(A.upper) J B, for every pair of
     kinds: n block columns, each counted as about one matvec with A, so
     O(n^2 s) operations for Bruhat and compact A, made by one `mat_mul`
-    per _BLOCK columns of each side.
+    per _BLOCK columns of each side.  The three parts are summed
+    unreduced in int64, below p**2 + 2p, and reduced once.
     """
     if A.n != B.n:
         raise ValueError("size mismatch in mul_qs_qs")
@@ -437,5 +442,4 @@ def mul_qs_qs(A: QsMatrix, B: QsMatrix,
     del low
     Bd *= A.diag[:, None]
     out += Bd
-    out %= A.field.p
-    return out
+    return _to_residues(out, A.field.p)

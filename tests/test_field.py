@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,7 +102,8 @@ def _python_int_product(A, B, p, C=None):
     return (AB if C is None else C.astype(object) - AB) % p
 
 
-# (p, m, k, n): float64 BLAS where m k n >= 4096 with k, n > 1, int64
+# (p, m, k, n) or (p, m, k, n, N) for N stacked products: float64 BLAS
+# where m k n >= 4096 with k, n > 1, int64
 # otherwise.  Where k (p-1)^2 >= 2^53 the smaller operand is cut into l
 # limbs of b bits: one GEMM with inner dimension l k where the l-fold
 # operands fit in the output ("stacked"), else one GEMM per limb joined by
@@ -135,20 +137,29 @@ _MAT_MUL_EDGES = [
     (2, 9, 3, 1),
     (65521, 5, 0, 7),           # no inner index: C - A B = C
     (2**31 - 1, 0, 4, 6),
+    # outputs past one chunk of the residue finish (2**14 entries): 129
+    # rows of 200 are chunks of 81 rows and one of 48; a row of 17000 is
+    # a chunk alone; stacked outputs are chunked as one
+    *((p, m, k, n, *stack) for p in (2, 3, 65521, 2**31 - 1)
+      for m, k, n, *stack in ((129, 8, 200), (2, 8, 17000), (65, 8, 200, 3))),
+    (2**31 - 1, 17, 64, 1000),  # l = 2, Horner: int64, chunks of 16 rows and 1
+    (2**31 - 1, 9, 65, 2000),   # l = 3, Horner, chunks of 8 rows and one of 1
 ]
 
 
-@pytest.mark.parametrize("p, m, k, n", _MAT_MUL_EDGES,
-                         ids=lambda v: str(v))
-def test_mat_mul_edges_against_python_ints(p, m, k, n):
+@pytest.mark.parametrize("case", _MAT_MUL_EDGES,
+                         ids=lambda case: "-".join(map(str, case)))
+def test_mat_mul_edges_against_python_ints(case):
+    p, m, k, n, *stack = case
     f = PrimeField(p)
     rng = np.random.default_rng(p % 997)
-    operands = [(np.full((m, k), fill, dtype=np.int64),
-                 np.full((k, n), fill, dtype=np.int64),
-                 np.full((m, n), c, dtype=np.int64))
+    lead = tuple(stack)
+    operands = [(np.full(lead + (m, k), fill, dtype=np.int64),
+                 np.full(lead + (k, n), fill, dtype=np.int64),
+                 np.full(lead + (m, n), c, dtype=np.int64))
                 for fill in {p - 1, max(p - 2, 0)} for c in (0, p - 1)]
-    operands.append((random_matrix(rng, m, k, f), random_matrix(rng, k, n, f),
-                     random_matrix(rng, m, n, f)))
+    operands.append(tuple(rng.integers(0, p, lead + shape, dtype=np.int64)
+                          for shape in ((m, k), (k, n), (m, n))))
     for A, B, C in operands:
         got = mat_mul(A, B, f)
         assert got.dtype == np.int64
@@ -159,8 +170,47 @@ def test_mat_mul_edges_against_python_ints(p, m, k, n):
         assert got.dtype == np.int64 and got is not C
         assert np.array_equal(got, _python_int_product(A, B, p, C))
         assert np.array_equal(C, before)
-        assert counter.muls == m * k * n
-        assert counter.adds == m * n * (k - 1) + m * n
+        N = stack[0] if stack else 1
+        assert counter.muls == N * m * k * n
+        assert counter.adds == N * m * n * (k - 1) + N * m * n
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1])
+def test_mat_mul_schur_update_on_reversed_strided_views(p):
+    # the elimination passes C = A[:h, h:] of a reversed M; here also a
+    # view with a column stride, each big enough to span several chunks
+    f = PrimeField(p)
+    rng = np.random.default_rng(p % 991)
+    W = rng.integers(0, p, (300, 600), dtype=np.int64)
+    before = W.copy()
+    for C in (W[::-1][:150, 150:300], W[::-1, ::-2][:140, 5:205]):
+        m, n = C.shape
+        for k in (8, 40):
+            A = rng.integers(0, p, (m, k), dtype=np.int64)
+            B = rng.integers(0, p, (k, n), dtype=np.int64)
+            got = mat_mul(A, B, f, C=C)
+            assert np.array_equal(got, _python_int_product(A, B, p, C)), (m, k, n)
+    assert np.array_equal(W, before)
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1])
+def test_mat_mul_fused_allocates_little_beyond_its_output(p):
+    # the float64 product is reduced chunk by chunk into its own buffer,
+    # with no int64 copy of the whole output beside it
+    f = PrimeField(p)
+    rng = np.random.default_rng(8)
+    A = rng.integers(0, p, (1024, 8), dtype=np.int64)
+    B = rng.integers(0, p, (8, 1024), dtype=np.int64)
+    C = rng.integers(0, p, (1024, 1024), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = mat_mul(A, B, f, C=C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * got.nbytes
+    want = (C - (A.astype(object) @ B.astype(object))) % p
+    assert np.array_equal(got, want.astype(np.int64))
 
 
 @pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1])
